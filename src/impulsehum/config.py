@@ -85,11 +85,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("method", f"unknown method {cfg.method!r}")
     if not 0.0 < cfg.tau < cfg.t_final:
         raise ConfigError("tau", f"must lie in (0, {cfg.t_final}), got {cfg.tau}")
-    if not cfg.a < cfg.omega_lo < cfg.omega_hi < cfg.b:
-        raise ConfigError(
-            "omega_lo",
-            f"need a < omega_lo < omega_hi < b, got ({cfg.omega_lo}, {cfg.omega_hi})",
-        )
+    try:
+        make_mask(cfg, make_grid(cfg))
+    except ValueError as exc:
+        raise ConfigError("omega_lo", str(exc)) from exc
     if cfg.psi0_kind not in _PSI0_KINDS:
         raise ConfigError("psi0_kind", f"must be one of {_PSI0_KINDS}, got {cfg.psi0_kind!r}")
     if cfg.psi0_kind == "nodes-from-file" and not cfg.psi0_path:

@@ -103,22 +103,6 @@ def steps_for(t: float, scheme: TimeScheme) -> tuple[int, float]:
     return int(n), t / int(n)
 
 
-def evolve(u0: State, t: float, d: Discretization, scheme: TimeScheme) -> State:
-    """Propagate ``u0`` over a time span ``t`` (the discrete semigroup)."""
-    u = np.asarray(u0, dtype=float).copy()
-    if u.shape != (d.grid.n_dof,):
-        raise ValueError(f"state has shape {u.shape}, expected ({d.grid.n_dof},)")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial state contains non-finite entries")
-    n, dt = steps_for(t, scheme)
-    if n == 0:
-        return u
-    step = _make_step(d, dt, scheme.theta)
-    for _ in range(n):
-        u = step(u)
-    return u
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Stored snapshots of one run; ``states[impulse_index]`` is post-jump.
@@ -150,24 +134,65 @@ class Trajectory:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _march(
+    u: State,
+    d: Discretization,
+    n: int,
+    dt: float,
+    theta: float,
+    stride: int,
+    k: Optional[int] = None,
+    jump: Optional[State] = None,
+) -> Trajectory:
+    """Take ``n`` theta-steps of size ``dt`` from ``u``.
+
+    Records step 0, every ``stride``-th step and step ``n``.  With ``k`` set,
+    ``jump`` is added right after step k and both sides of it are recorded.
+    """
+    step = _make_step(d, dt, theta)
+    times = [0.0]
+    states = [u.copy()]
+    impulse_index = pre = None
+    for j in range(1, n + 1):
+        u = step(u)
+        if j == k:
+            pre = u.copy()
+            u = u + jump
+            impulse_index = len(times)
+        if j % stride == 0 or j == n or j == k:
+            times.append(j * dt)
+            states.append(u.copy())
+    return Trajectory(
+        times=np.array(times),
+        states=np.array(states),
+        impulse_index=impulse_index,
+        pre_impulse_state=pre,
+    )
+
+
+def evolve(u0: State, t: float, d: Discretization, scheme: TimeScheme) -> State:
+    """Propagate ``u0`` over a time span ``t`` (the discrete semigroup)."""
+    u = np.asarray(u0, dtype=float).copy()
+    if u.shape != (d.grid.n_dof,):
+        raise ValueError(f"state has shape {u.shape}, expected ({d.grid.n_dof},)")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial state contains non-finite entries")
+    n, dt = steps_for(t, scheme)
+    if n == 0:
+        return u
+    return _march(u, d, n, dt, scheme.theta, stride=n).final_state
+
+
 def evolve_trajectory(
     u0: State, d: Discretization, scheme: TimeScheme, stride: int = 1
 ) -> Trajectory:
     """Run over [0, t_final] recording every ``stride``-th step (and the ends)."""
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    u = np.asarray(u0, dtype=float).copy()
+    u = np.asarray(u0, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state contains non-finite entries")
-    step = _make_step(d, scheme.dt, scheme.theta)
-    times = [0.0]
-    states = [u.copy()]
-    for j in range(1, scheme.n_steps + 1):
-        u = step(u)
-        if j % stride == 0 or j == scheme.n_steps:
-            times.append(j * scheme.dt)
-            states.append(u.copy())
-    return Trajectory(times=np.array(times), states=np.array(states))
+    return _march(u, d, scheme.n_steps, scheme.dt, scheme.theta, stride)
 
 
 def solve_impulsive(
@@ -197,33 +222,8 @@ def solve_impulsive(
             f"tau={tau} is off the time grid (dt={dt}); "
             "use TimeScheme.with_impulse_alignment"
         )
-    u = np.asarray(psi0, dtype=float).copy()
+    u = np.asarray(psi0, dtype=float)
     h = np.asarray(h, dtype=float)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(h))):
         raise ValueError("initial state or control contains non-finite entries")
-    step = _make_step(d, dt, scheme.theta)
-
-    times = [0.0]
-    states = [u.copy()]
-    for j in range(1, k):
-        u = step(u)
-        if j % stride == 0:
-            times.append(j * dt)
-            states.append(u.copy())
-    u = step(u)
-    pre = u.copy()
-    u = u + mask.mask * h
-    times.append(k * dt)
-    states.append(u.copy())
-    impulse_index = len(times) - 1
-    for j in range(k + 1, scheme.n_steps + 1):
-        u = step(u)
-        if j % stride == 0 or j == scheme.n_steps:
-            times.append(j * dt)
-            states.append(u.copy())
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        impulse_index=impulse_index,
-        pre_impulse_state=pre,
-    )
+    return _march(u, d, scheme.n_steps, dt, scheme.theta, stride, k, mask.mask * h)

@@ -9,8 +9,9 @@ operator equation
 where E(t) is the discrete semigroup, B the interior restriction to the
 control region, and all inner products the weighted one (Lambda + eps I is
 self-adjoint positive definite only in that geometry).  The conjugate
-gradient iteration below works matrix-free through two propagations per
-application of Lambda.
+gradient iteration below works matrix-free: one application of Lambda (two
+propagations) per iteration.  The functional it records is read off the
+residual it already holds, so it costs no further propagation.
 """
 
 from __future__ import annotations
@@ -100,26 +101,6 @@ def gramian_apply(
     return evolve(control_op(evolve(rho, span, d, scheme), mask), span, d, scheme)
 
 
-def _objective(
-    theta0: State,
-    psi0: State,
-    obs_weight: float,
-    penalty: float,
-    cfg: HumConfig,
-    d: Discretization,
-    mask: SubdomainMask,
-    scheme: TimeScheme,
-) -> float:
-    span = cfg.t_final - cfg.tau
-    mid = evolve(theta0, span, d, scheme)
-    end = evolve(mid, cfg.tau, d, scheme)
-    return (
-        0.5 * obs_weight * subdomain_norm(mid, mask, d) ** 2
-        + 0.5 * penalty * inner(theta0, theta0, d)
-        + inner(psi0, end, d)
-    )
-
-
 def penalized_objective(
     theta0: State,
     psi0: State,
@@ -130,8 +111,18 @@ def penalized_objective(
 ) -> float:
     """Penalized HUM objective: half the observed energy at T - tau, plus
     (eps/2) times the squared weighted norm of the adjoint datum, plus the
-    coupling with the datum to be controlled (two propagations)."""
-    return _objective(theta0, psi0, 1.0, cfg.epsilon, cfg, d, mask, scheme)
+    coupling with the datum to be controlled (two propagations).
+
+    This is the reference definition; :func:`cg_solve` records the same value
+    without propagating, see ``_run_cg``."""
+    span = cfg.t_final - cfg.tau
+    mid = evolve(theta0, span, d, scheme)
+    end = evolve(mid, cfg.tau, d, scheme)
+    return (
+        0.5 * subdomain_norm(mid, mask, d) ** 2
+        + 0.5 * cfg.epsilon * inner(theta0, theta0, d)
+        + inner(psi0, end, d)
+    )
 
 
 def _run_cg(
@@ -149,15 +140,18 @@ def _run_cg(
     Follows the printed iteration: g_0 = penalty f_0 + obs_weight Lambda f_0
     + E(T) psi0, descent directions w_k, step rho_k = |g_{k-1}|^2 /
     <gbar_k, w_{k-1}>, restart-free, stop on |g_k| / |g_0| <= tol.
+
+    The functional J(f) = 1/2 <A f, f> + <b, f>, with A the operator and
+    b = E(T) psi0, is recorded as 1/2 <g + b, f> from the residual
+    g = A f + b that CG already holds.  This is the penalized objective
+    because E(T) is self-adjoint, so <psi0, E(T) f> = <b, f>.
     """
-    span = cfg.t_final - cfg.tau
 
     def apply_op(v: State) -> State:
-        lam = evolve(control_op(evolve(v, span, d, scheme), mask), span, d, scheme)
-        return penalty * v + obs_weight * lam
+        return penalty * v + obs_weight * gramian_apply(v, cfg, d, mask, scheme)
 
-    def objective(v: State) -> float:
-        return _objective(v, psi0, obs_weight, penalty, cfg, d, mask, scheme)
+    def objective(v: State, g: State) -> float:
+        return 0.5 * inner(g + b, v, d)
 
     b = evolve(psi0, cfg.t_final, d, scheme)
     if f0 is None:
@@ -169,11 +163,11 @@ def _run_cg(
 
     g0_norm = norm(g, d)
     if g0_norm == 0.0:
-        return f, np.array([0.0]), np.array([objective(f)]), 0, True
+        return f, np.array([0.0]), np.array([objective(f, g)]), 0, True
 
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * d.grid.nx
     residuals = [1.0]
-    functionals = [objective(f)]
+    functionals = [objective(f, g)]
     w = g.copy()
     g_norm = g0_norm
     converged = False
@@ -191,7 +185,7 @@ def _run_cg(
         g = g - rho * gbar
         new_norm = norm(g, d)
         residuals.append(new_norm / g0_norm)
-        functionals.append(objective(f))
+        functionals.append(objective(f, g))
         iterations = k
         if new_norm / g0_norm <= cfg.tol:
             converged = True

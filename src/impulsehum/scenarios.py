@@ -147,21 +147,19 @@ def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, H
     return RunSummary("controlled", (row,), time.perf_counter() - t0, cfg.to_dict()), sol
 
 
-def _epsilon_rows(cfg: ExperimentConfig, d, mask, scheme, psi0):
-    """One CG solve per penalty, largest first; failures yield partial rows."""
-    rows = []
-    solutions = {}
+def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
+    """One CG solve per penalty, largest first, yielding (row, solution).
+
+    A CG breakdown yields a partial row carrying the error and no solution.
+    """
     for eps in sorted(cfg.epsilons, reverse=True):
         try:
             sol = cg_solve(psi0, _hum_config(cfg, eps), d, mask, scheme)
         except CgBreakdownError as exc:
-            rows.append(Table1Row(eps, 0, float("nan"), float("nan"), False, str(exc)))
+            yield Table1Row(eps, 0, float("nan"), float("nan"), False, str(exc)), None
             continue
-        rows.append(
-            Table1Row(eps, sol.iterations, sol.final_norm, sol.control_norm, sol.converged)
-        )
-        solutions[eps] = sol
-    return rows, solutions
+        yield Table1Row(eps, sol.iterations, sol.final_norm, sol.control_norm,
+                        sol.converged), sol
 
 
 def _rows_to_json(rows) -> list:
@@ -184,7 +182,10 @@ def run_table1(cfg: ExperimentConfig) -> RunSummary:
     """Penalty sweep reported as one compact table."""
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
-    rows, solutions = _epsilon_rows(cfg, d, mask, scheme, psi0)
+    solves = list(_penalty_solves(cfg, d, mask, scheme, psi0))
+    rows = [row for row, _ in solves]
+    report = {repr(row.epsilon): solution_to_dict(sol)
+              for row, sol in solves if sol is not None}
     out = _scenario_dir(cfg, "table1")
     summary = {
         "scenario": "table1",
@@ -192,10 +193,7 @@ def run_table1(cfg: ExperimentConfig) -> RunSummary:
         "rows": _rows_to_json(rows),
     }
     write_json(summary, out / "summary.json")
-    report = {
-        "per_epsilon": {repr(eps): solution_to_dict(sol) for eps, sol in solutions.items()}
-    }
-    write_json(report, out / "report.json")
+    write_json({"per_epsilon": report}, out / "report.json")
     return RunSummary("table1", tuple(rows), time.perf_counter() - t0, cfg.to_dict())
 
 
@@ -205,23 +203,18 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
     grid, d, mask, scheme, psi0 = _setup(cfg)
     out = _scenario_dir(cfg, "sweep")
     rows = []
-    for i, eps in enumerate(sorted(cfg.epsilons, reverse=True)):
-        cell = out / f"cell{i:02d}_eps_{eps:g}"
+    for i, (row, sol) in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
+        rows.append(row)
+        cell = out / f"cell{i:02d}_eps_{row.epsilon:g}"
         cell.mkdir(parents=True, exist_ok=True)
-        try:
-            sol = cg_solve(psi0, _hum_config(cfg, eps), d, mask, scheme)
-        except CgBreakdownError as exc:
-            rows.append(Table1Row(eps, 0, float("nan"), float("nan"), False, str(exc)))
-            write_json({"epsilon": eps, "error": str(exc)}, cell / "summary.json")
+        if sol is None:
+            write_json({"epsilon": row.epsilon, "error": row.error}, cell / "summary.json")
             continue
         traj = solve_impulsive(psi0, sol.control, cfg.tau, d, mask, scheme,
                                stride=cfg.snapshot_stride)
         traj.to_csv(cell / "trajectory.csv")
         write_state_csv(grid.nodes, sol.control, cell / "control.csv")
         write_solution_json(sol, cell / "report.json")
-        rows.append(
-            Table1Row(eps, sol.iterations, sol.final_norm, sol.control_norm, sol.converged)
-        )
     summary = {
         "scenario": "sweep",
         "config": cfg.to_dict(),
@@ -245,7 +238,10 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
         raise ConfigError("hbar", str(exc)) from exc
 
     traj = evolve_trajectory(psi0, d, scheme, stride=cfg.snapshot_stride)
-    freq = cvx.frequency(traj, wp, d)
+    try:
+        freq = cvx.frequency(traj, wp, d)
+    except ValueError as exc:
+        raise ConfigError("psi0_kind", str(exc)) from exc
     mid = len(freq.times) // 2
     freq_rel_err = abs(freq.freq_direct[mid] - freq.freq_oracle[mid]) / abs(
         freq.freq_oracle[mid]

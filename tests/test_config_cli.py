@@ -17,7 +17,9 @@ from impulsehum import (
     run_uncontrolled,
     validate,
 )
+from impulsehum import scenarios
 from impulsehum.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from impulsehum.hum import CgBreakdownError
 from impulsehum.config import make_grid
 
 from dataclasses import replace
@@ -62,6 +64,18 @@ def test_inadmissible_weight_slope_is_config_error():
     with pytest.raises(ConfigError) as err:
         validate(cfg)
     assert err.value.field == "s"
+
+
+def test_omega_without_grid_node_is_config_error(tmp_path):
+    cfg = replace(ExperimentConfig(), omega_lo=0.41, omega_hi=0.42)
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert err.value.field == "omega_lo"
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"omega_lo": 0.41, "omega_hi": 0.42}))
+    for scenario in ("uncontrolled", "controlled", "table1", "sweep", "convexity"):
+        argv = [scenario, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
 
 
 def test_initial_state_kinds(tmp_path):
@@ -183,6 +197,28 @@ def test_run_sweep_emits_cells(tmp_path):
         assert (tmp_path / "sweep" / cell / "control.csv").exists()
 
 
+def test_breakdown_keeps_partial_rows(tmp_path, monkeypatch):
+    real = scenarios.cg_solve
+
+    def flaky(psi0, cfg, d, mask, scheme):
+        if cfg.epsilon == 1e-3:
+            raise CgBreakdownError("forced")
+        return real(psi0, cfg, d, mask, scheme)
+
+    monkeypatch.setattr(scenarios, "cg_solve", flaky)
+    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
+    for run in (run_table1, run_sweep):
+        rows = run(cfg).rows
+        assert [r.epsilon for r in rows] == [1e-2, 1e-3, 1e-4]
+        assert [r.error for r in rows] == [None, "forced", None]
+        assert rows[1].iterations == 0 and np.isnan(rows[1].final_norm)
+    report = json.loads((tmp_path / "table1" / "report.json").read_text())
+    assert sorted(report["per_epsilon"]) == ["0.0001", "0.01"]
+    cell = json.loads((tmp_path / "sweep" / "cell01_eps_0.001" / "summary.json").read_text())
+    assert cell == {"epsilon": 1e-3, "error": "forced"}
+    assert (tmp_path / "sweep" / "cell02_eps_0.0001" / "control.csv").exists()
+
+
 def test_run_convexity_reports_constants(tmp_path):
     cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
     run_convexity(cfg, n_seeds=5)
@@ -207,6 +243,13 @@ def test_cli_exit_codes(tmp_path):
     capped.write_text(json.dumps({"max_iter": 1, "epsilons": [1e-4]}))
     assert main(["controlled", "--config", str(capped), "--out", str(tmp_path / "c")]) == EXIT_SOLVER
     assert main(["sweep", "--config", str(capped), "--out", str(tmp_path / "d")]) == EXIT_SOLVER
+
+
+def test_cli_convexity_zero_state_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"psi0_amplitude": 0.0}))
+    assert main(["convexity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "psi0_kind" in capsys.readouterr().err
 
 
 def test_cli_summary_byte_identical(tmp_path):

@@ -127,6 +127,17 @@ def test_impulsive_zero_control_matches_free(setup25):
     np.testing.assert_array_equal(traj.states[traj.impulse_index], traj.pre_impulse_state)
 
 
+def test_impulsive_stride_keeps_impulse_off_stride(setup25):
+    # k = 100 is not a multiple of the stride: both sides of the jump are kept
+    _, d, mask, scheme, psi0 = setup25
+    traj = solve_impulsive(psi0, np.zeros(26), 0.01, d, mask, scheme, stride=7)
+    kept = [*range(0, 100, 7), 100, *range(105, 200, 7), 200]
+    np.testing.assert_array_equal(traj.times, np.array(kept) * scheme.dt)
+    assert traj.impulse_index == kept.index(100)
+    np.testing.assert_array_equal(traj.pre_impulse_state, traj.states[traj.impulse_index])
+    assert np.array_equal(traj.final_state, evolve(psi0, 0.02, d, scheme))
+
+
 def test_impulsive_zero_initial_state(setup25):
     _, d, mask, scheme, _ = setup25
     rng = np.random.default_rng(9)

@@ -1,0 +1,45 @@
+"""Default-config summaries match the recorded ones.
+
+``data/golden_summaries.json`` holds the ``summary.json`` of each CLI
+scenario at the default config, with ``config.out_dir`` dropped.  Floats
+must agree to 1e-12 relative; ints, bools, strings and the config echo must
+match exactly.  Refresh the file only for a change meant to alter results.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from impulsehum.cli import EXIT_OK, main
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_summaries.json").read_text(encoding="utf-8")
+)
+
+
+def _assert_close(got, want, where):
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), (where, got, want)
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_default_summary_matches_golden(scenario, tmp_path):
+    assert main([scenario, "--out", str(tmp_path)]) == EXIT_OK
+    got = json.loads((tmp_path / scenario / "summary.json").read_text(encoding="utf-8"))
+    assert got["config"].pop("out_dir") == str(tmp_path)
+    want = GOLDEN[scenario]
+    assert got["config"] == want["config"]
+    _assert_close(got, want, scenario)

@@ -148,6 +148,20 @@ def test_cg_functional_descent_and_residuals(setup25):
     assert r[-1] <= sol.tol
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_cg_functional_history_equals_objective(eps, setup25):
+    # the recorded functional comes from CG's residual, not from propagating
+    _, d, mask, scheme, psi0 = setup25
+    cfg = _cfg(eps)
+    sol = cg_solve(psi0, cfg, d, mask, scheme)
+    ref = penalized_objective(sol.minimizer, psi0, cfg, d, mask, scheme)
+    assert sol.functional_history[-1] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    f0 = np.random.default_rng(6).standard_normal(26)
+    warm = cg_solve(psi0, cfg, d, mask, scheme, f0=f0)
+    ref0 = penalized_objective(f0, psi0, cfg, d, mask, scheme)
+    assert warm.functional_history[0] == pytest.approx(ref0, rel=1e-12, abs=0.0)
+
+
 def test_cg_final_gradient_small(setup25):
     _, d, mask, scheme, psi0 = setup25
     cfg = _cfg(1e-3)
