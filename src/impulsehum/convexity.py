@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .evolution import TimeScheme, Trajectory, evolve
+from .evolution import TimeScheme, Trajectory, _write_csv, evolve
 from .mesh import Discretization, Grid, State, SubdomainMask, inner, norm, subdomain_norm
 
 
@@ -157,14 +157,12 @@ def convexity_constants(
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Frequency samples along one trajectory, plus optional ensemble results."""
+    """Frequency samples along one trajectory."""
 
     times: np.ndarray
     norm_f: np.ndarray
     freq_direct: np.ndarray
     freq_oracle: np.ndarray
-    three_point_slack: Optional[float] = None
-    fitted: Optional["ObservabilityFit"] = None
 
 
 def weighted_state(u: State, t: float, wp: WeightParams, d: Discretization) -> State:
@@ -381,7 +379,7 @@ def epsilon_split_slack(
 
 
 def write_frequency_csv(report: ConvexityReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,norm_f,freq_direct,freq_oracle\n")
-        for row in zip(report.times, report.norm_f, report.freq_direct, report.freq_oracle):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    table = np.column_stack(
+        [report.times, report.norm_f, report.freq_direct, report.freq_oracle]
+    )
+    _write_csv(path, "t,norm_f,freq_direct,freq_oracle", table)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .mesh import Discretization, State, SubdomainMask
+from .mesh import Discretization, State, SubdomainMask, _check_length
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
@@ -124,14 +124,20 @@ class Trajectory:
         """Write rows t, x_0..x_nx; the impulse time appears twice (left
         limit first, then the post-jump state)."""
         n = self.states.shape[1]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(f"x_{i}" for i in range(n)) + "\n")
-            for j, t in enumerate(self.times):
-                if self.impulse_index is not None and j == self.impulse_index:
-                    row = [t] + list(self.pre_impulse_state)
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
-                row = [t] + list(self.states[j])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        table = np.column_stack([self.times, self.states])
+        j = self.impulse_index
+        if j is not None:
+            table = np.insert(table, j, np.r_[self.times[j], self.pre_impulse_state], axis=0)
+        _write_csv(path, "t," + ",".join(f"x_{i}" for i in range(n)), table)
+
+
+def _write_csv(path, header: str, table) -> None:
+    """Write ``header`` and one line per row of ``table``, each entry as the
+    repr of its float value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in np.asarray(table, dtype=float):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _march(
@@ -172,9 +178,7 @@ def _march(
 
 def evolve(u0: State, t: float, d: Discretization, scheme: TimeScheme) -> State:
     """Propagate ``u0`` over a time span ``t`` (the discrete semigroup)."""
-    u = np.asarray(u0, dtype=float).copy()
-    if u.shape != (d.grid.n_dof,):
-        raise ValueError(f"state has shape {u.shape}, expected ({d.grid.n_dof},)")
+    u = _check_length(u0, d, "u0").copy()
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state contains non-finite entries")
     n, dt = steps_for(t, scheme)
@@ -189,7 +193,7 @@ def evolve_trajectory(
     """Run over [0, t_final] recording every ``stride``-th step (and the ends)."""
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
-    u = np.asarray(u0, dtype=float)
+    u = _check_length(u0, d, "u0")
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state contains non-finite entries")
     return _march(u, d, scheme.n_steps, scheme.dt, scheme.theta, stride)
@@ -222,8 +226,8 @@ def solve_impulsive(
             f"tau={tau} is off the time grid (dt={dt}); "
             "use TimeScheme.with_impulse_alignment"
         )
-    u = np.asarray(psi0, dtype=float)
-    h = np.asarray(h, dtype=float)
+    u = _check_length(psi0, d, "psi0")
+    h = _check_length(h, d, "h")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(h))):
         raise ValueError("initial state or control contains non-finite entries")
     return _march(u, d, scheme.n_steps, dt, scheme.theta, stride, k, mask.mask * h)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isclose
 from typing import Optional
 
 import numpy as np
 
-from .evolution import TimeScheme, evolve, solve_impulsive
+from .evolution import TimeScheme, _write_csv, evolve, solve_impulsive
 from .mesh import Discretization, State, SubdomainMask, inner, norm, subdomain_norm
 
 
@@ -234,6 +235,18 @@ def _package(
     )
 
 
+def _check_horizon(cfg: HumConfig, scheme: TimeScheme, caller: str) -> None:
+    """The impulse solvers need tau < t_final, and the scheme must span the
+    same horizon: the forward replays take ``scheme.n_steps`` steps."""
+    if not cfg.tau < cfg.t_final:
+        raise ValueError(f"{caller} needs tau < t_final")
+    if not isclose(cfg.t_final, scheme.t_final, rel_tol=1e-9):
+        raise ValueError(
+            f"{caller} needs the scheme's horizon: HumConfig.t_final={cfg.t_final}, "
+            f"TimeScheme.t_final={scheme.t_final}"
+        )
+
+
 def cg_solve(
     psi0: State,
     cfg: HumConfig,
@@ -249,8 +262,7 @@ def cg_solve(
     iteration cap is hit the best iterate is returned with ``converged``
     False rather than raising, so partial sweeps stay reproducible.
     """
-    if not cfg.tau < cfg.t_final:
-        raise ValueError("cg_solve needs tau < t_final")
+    _check_horizon(cfg, scheme, "cg_solve")
     f, res, fun, iters, conv = _run_cg(
         psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon, f0=f0
     )
@@ -279,8 +291,7 @@ def solve_cost_weighted(
     such guarantee: at nx = 25, eps = 1e-2 it exceeds the bound 1.59-fold
     for the sine datum, while the constant is ~3.09e4.
     """
-    if not cfg.tau < cfg.t_final:
-        raise ValueError("solve_cost_weighted needs tau < t_final")
+    _check_horizon(cfg, scheme, "solve_cost_weighted")
     kappa = cfg.kappa if cfg.kappa is not None else 1.0 / cfg.epsilon
     f, res, fun, iters, conv = _run_cg(
         psi0, cfg, d, mask, scheme,
@@ -308,8 +319,7 @@ def duality_residual(
     the free flow started from zeta0; the discrete residual is pure roundoff
     because the discrete semigroup is self-adjoint.
     """
-    if not cfg.tau < cfg.t_final:
-        raise ValueError("duality_residual needs tau < t_final")
+    _check_horizon(cfg, scheme, "duality_residual")
     z_end = evolve(zeta0, cfg.t_final, d, scheme)
     z_mid = evolve(zeta0, cfg.t_final - cfg.tau, d, scheme)
     traj = solve_impulsive(psi0, h, cfg.tau, d, mask, scheme)
@@ -377,7 +387,4 @@ def write_solution_json(sol: HumSolution, path) -> None:
 
 def write_state_csv(x: np.ndarray, values: np.ndarray, path) -> None:
     """Two-column CSV (x, value) for control profiles and final states."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,value\n")
-        for xi, vi in zip(x, values):
-            fh.write(f"{float(xi)!r},{float(vi)!r}\n")
+    _write_csv(path, "x,value", np.column_stack([x, values]))

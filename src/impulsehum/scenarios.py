@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -49,13 +49,19 @@ class Table1Row:
     converged: bool
     error: Optional[str] = None
 
+    def to_dict(self) -> dict:
+        """Field dict for JSON output; ``error`` only when set."""
+        data = asdict(self)
+        if self.error is None:
+            del data["error"]
+        return data
+
 
 @dataclass(frozen=True)
 class RunSummary:
     scenario: str
     rows: tuple
     wall_time: float
-    config: dict
 
 
 def _jsonify(obj):
@@ -104,21 +110,39 @@ def _hum_config(cfg: ExperimentConfig, epsilon: float) -> HumConfig:
     )
 
 
+def _row(sol: HumSolution) -> Table1Row:
+    return Table1Row(sol.epsilon, sol.iterations, sol.final_norm, sol.control_norm,
+                     sol.converged)
+
+
+def _write_summary(cfg: ExperimentConfig, scenario: str, t0: float, fields: dict,
+                   rows=()) -> RunSummary:
+    """Write ``summary.json`` (``fields`` plus the scenario name and the
+    config echo) and return the run's summary, timed from ``t0``."""
+    summary = {"scenario": scenario, "config": cfg.to_dict(), **fields}
+    write_json(summary, Path(cfg.out_dir) / scenario / "summary.json")
+    return RunSummary(scenario, tuple(rows), time.perf_counter() - t0)
+
+
+def _write_cell(out: Path, cfg: ExperimentConfig, d, mask, scheme, psi0,
+                sol: HumSolution) -> None:
+    """Write one solve's ``trajectory.csv`` (replayed at the configured
+    snapshot stride), ``control.csv`` and ``report.json`` into ``out``."""
+    traj = solve_impulsive(psi0, sol.control, cfg.tau, d, mask, scheme,
+                           stride=cfg.snapshot_stride)
+    traj.to_csv(out / "trajectory.csv")
+    write_state_csv(d.grid.nodes, sol.control, out / "control.csv")
+    write_solution_json(sol, out / "report.json")
+
+
 def run_uncontrolled(cfg: ExperimentConfig) -> RunSummary:
     """Free evolution from the configured initial state."""
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
     traj = evolve_trajectory(psi0, d, scheme, stride=cfg.snapshot_stride)
-    out = _scenario_dir(cfg, "uncontrolled")
-    traj.to_csv(out / "trajectory.csv")
-    summary = {
-        "scenario": "uncontrolled",
-        "config": cfg.to_dict(),
-        "initial_norm": norm(psi0, d),
-        "final_norm": norm(traj.final_state, d),
-    }
-    write_json(summary, out / "summary.json")
-    return RunSummary("uncontrolled", (), time.perf_counter() - t0, cfg.to_dict())
+    traj.to_csv(_scenario_dir(cfg, "uncontrolled") / "trajectory.csv")
+    fields = {"initial_norm": norm(psi0, d), "final_norm": norm(traj.final_state, d)}
+    return _write_summary(cfg, "uncontrolled", t0, fields)
 
 
 def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, HumSolution]:
@@ -126,25 +150,10 @@ def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, H
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
     sol = cg_solve(psi0, _hum_config(cfg, epsilon), d, mask, scheme)
-    traj = solve_impulsive(psi0, sol.control, cfg.tau, d, mask, scheme,
-                           stride=cfg.snapshot_stride)
-    out = _scenario_dir(cfg, "controlled")
-    traj.to_csv(out / "trajectory.csv")
-    write_state_csv(grid.nodes, sol.control, out / "control.csv")
-    write_solution_json(sol, out / "report.json")
-    summary = {
-        "scenario": "controlled",
-        "config": cfg.to_dict(),
-        "epsilon": epsilon,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "control_norm": sol.control_norm,
-        "final_norm": sol.final_norm,
-        "initial_norm": sol.initial_norm,
-    }
-    write_json(summary, out / "summary.json")
-    row = Table1Row(epsilon, sol.iterations, sol.final_norm, sol.control_norm, sol.converged)
-    return RunSummary("controlled", (row,), time.perf_counter() - t0, cfg.to_dict()), sol
+    _write_cell(_scenario_dir(cfg, "controlled"), cfg, d, mask, scheme, psi0, sol)
+    row = _row(sol)
+    fields = {**row.to_dict(), "initial_norm": sol.initial_norm}
+    return _write_summary(cfg, "controlled", t0, fields, (row,)), sol
 
 
 def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
@@ -158,24 +167,7 @@ def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
         except CgBreakdownError as exc:
             yield Table1Row(eps, 0, float("nan"), float("nan"), False, str(exc)), None
             continue
-        yield Table1Row(eps, sol.iterations, sol.final_norm, sol.control_norm,
-                        sol.converged), sol
-
-
-def _rows_to_json(rows) -> list:
-    out = []
-    for r in rows:
-        entry = {
-            "epsilon": r.epsilon,
-            "iterations": r.iterations,
-            "final_norm": r.final_norm,
-            "control_norm": r.control_norm,
-            "converged": r.converged,
-        }
-        if r.error is not None:
-            entry["error"] = r.error
-        out.append(entry)
-    return out
+        yield _row(sol), sol
 
 
 def run_table1(cfg: ExperimentConfig) -> RunSummary:
@@ -186,15 +178,8 @@ def run_table1(cfg: ExperimentConfig) -> RunSummary:
     rows = [row for row, _ in solves]
     report = {repr(row.epsilon): solution_to_dict(sol)
               for row, sol in solves if sol is not None}
-    out = _scenario_dir(cfg, "table1")
-    summary = {
-        "scenario": "table1",
-        "config": cfg.to_dict(),
-        "rows": _rows_to_json(rows),
-    }
-    write_json(summary, out / "summary.json")
-    write_json({"per_epsilon": report}, out / "report.json")
-    return RunSummary("table1", tuple(rows), time.perf_counter() - t0, cfg.to_dict())
+    write_json({"per_epsilon": report}, _scenario_dir(cfg, "table1") / "report.json")
+    return _write_summary(cfg, "table1", t0, {"rows": [r.to_dict() for r in rows]}, rows)
 
 
 def run_sweep(cfg: ExperimentConfig) -> RunSummary:
@@ -209,19 +194,9 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
         cell.mkdir(parents=True, exist_ok=True)
         if sol is None:
             write_json({"epsilon": row.epsilon, "error": row.error}, cell / "summary.json")
-            continue
-        traj = solve_impulsive(psi0, sol.control, cfg.tau, d, mask, scheme,
-                               stride=cfg.snapshot_stride)
-        traj.to_csv(cell / "trajectory.csv")
-        write_state_csv(grid.nodes, sol.control, cell / "control.csv")
-        write_solution_json(sol, cell / "report.json")
-    summary = {
-        "scenario": "sweep",
-        "config": cfg.to_dict(),
-        "rows": _rows_to_json(rows),
-    }
-    write_json(summary, out / "summary.json")
-    return RunSummary("sweep", tuple(rows), time.perf_counter() - t0, cfg.to_dict())
+        else:
+            _write_cell(cell, cfg, d, mask, scheme, psi0, sol)
+    return _write_summary(cfg, "sweep", t0, {"rows": [r.to_dict() for r in rows]}, rows)
 
 
 def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
@@ -247,10 +222,10 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
         freq.freq_oracle[mid]
     )
 
+    states = [random_smooth_state(grid, SplitMix64(cfg.seed + i)) for i in range(n_seeds)]
     checks = []
     samples = []
-    for i in range(n_seeds):
-        u0 = random_smooth_state(grid, SplitMix64(cfg.seed + i))
+    for u0 in states:
         checks.append(
             cvx.three_point_check(u0, wp, t1, t2, t3, d, scheme, constants=constants)
         )
@@ -267,51 +242,26 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
                 )
             )
     fit = cvx.fit_observability(samples)
-
-    split_slacks = []
-    for eps in (1.0, 0.1, 0.01):
-        for i in range(min(5, n_seeds)):
-            u0 = random_smooth_state(grid, SplitMix64(cfg.seed + i))
-            split_slacks.append(
-                cvx.epsilon_split_slack(u0, eps, fit, d, mask, scheme)
-            )
+    split_slacks = [cvx.epsilon_split_slack(u0, eps, fit, d, mask, scheme)
+                    for eps in (1.0, 0.1, 0.01) for u0 in states[:5]]
 
     out = _scenario_dir(cfg, "convexity")
     cvx.write_frequency_csv(freq, out / "frequency.csv")
     violations = sum(1 for c in checks if not c.passed)
     report = {
-        "constants": {
-            "c_const": constants.c_const,
-            "c0": constants.c0,
-            "ell": constants.ell,
-            "m_ell": constants.m_ell,
-            "d_ell": constants.d_ell,
-            "m_three_point": constants.m_three_point,
-            "d_three_point": constants.d_three_point,
-            "t1": t1,
-            "t2": t2,
-            "t3": t3,
-        },
+        "constants": {**asdict(constants), "t1": t1, "t2": t2, "t3": t3},
         "three_point": {
             "n_seeds": n_seeds,
             "violations": violations,
             "slacks": [c.slack for c in checks],
             "tolerances": [c.tolerance for c in checks],
         },
-        "fit": {
-            "mu": fit.mu,
-            "k_const": fit.k_const,
-            "beta": fit.beta,
-            "satisfied_fraction": fit.satisfied_fraction,
-            "n_samples": fit.n_samples,
-        },
+        "fit": asdict(fit),
         "split_slacks": split_slacks,
         "frequency_mid_rel_error": freq_rel_err,
     }
     write_json(report, out / "report.json")
-    summary = {
-        "scenario": "convexity",
-        "config": cfg.to_dict(),
+    return _write_summary(cfg, "convexity", t0, {
         "c0": constants.c0,
         "c_const": constants.c_const,
         "three_point_violations": violations,
@@ -320,6 +270,4 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
         "fitted_k": fit.k_const,
         "satisfied_fraction": fit.satisfied_fraction,
         "frequency_mid_rel_error": freq_rel_err,
-    }
-    write_json(summary, out / "summary.json")
-    return RunSummary("convexity", (), time.perf_counter() - t0, cfg.to_dict())
+    })

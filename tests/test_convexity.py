@@ -25,6 +25,7 @@ from impulsehum import (
     subdomain_mask,
     subdomain_norm,
     three_point_check,
+    write_frequency_csv,
 )
 
 from oracles import time_weight_quadrature
@@ -189,6 +190,18 @@ def test_frequency_rejects_bad_input(setup25):
     zero_traj = evolve_trajectory(np.zeros(26), d, scheme)
     with pytest.raises(ValueError):
         frequency(zero_traj, WP, d)
+
+
+def test_frequency_csv_round_trip(tmp_path, setup25):
+    _, d, _, scheme, psi0 = setup25
+    rep = frequency(evolve_trajectory(psi0, d, scheme, stride=10), WP, d)
+    path = tmp_path / "frequency.csv"
+    write_frequency_csv(rep, path)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "t,norm_f,freq_direct,freq_oracle"
+    rows = [[float(v) for v in l.split(",")] for l in lines[1:]]
+    assert rows == [list(r) for r in zip(rep.times, rep.norm_f, rep.freq_direct,
+                                         rep.freq_oracle)]
 
 
 def test_three_point_constant_state_slack_is_offset():

@@ -66,6 +66,8 @@ def test_nonfinite_rejected(setup4):
         evolve(bad, 0.01, d, scheme)
     with pytest.raises(ValueError):
         evolve(np.zeros(5), -1.0, d, scheme)
+    with pytest.raises(ValueError, match="has shape"):
+        evolve_trajectory(np.zeros(4), d, scheme)
 
 
 def test_evolve_matches_dense_exponential_nx4(setup4):
@@ -155,6 +157,11 @@ def test_impulse_time_validation(setup25):
         solve_impulsive(psi0, np.zeros(26), 0.03, d, mask, scheme)
     with pytest.raises(ValueError):
         solve_impulsive(psi0, np.zeros(26), 0.0, d, mask, scheme)
+    # a length-1 control must not broadcast into a uniform impulse
+    with pytest.raises(ValueError, match="has shape"):
+        solve_impulsive(psi0, np.ones(1), 0.01, d, mask, scheme)
+    with pytest.raises(ValueError, match="has shape"):
+        solve_impulsive(psi0[:-1], np.zeros(26), 0.01, d, mask, scheme)
 
 
 def test_trajectory_csv(tmp_path, setup25):
@@ -168,6 +175,11 @@ def test_trajectory_csv(tmp_path, setup25):
     assert len(lines) == 1 + len(traj.times) + 1
     times = [float(l.split(",")[0]) for l in lines[1:]]
     assert sum(abs(t - 0.01) < 1e-12 for t in times) == 2
+    # every value reads back exactly; the left limit precedes the jump
+    j = traj.impulse_index
+    expected = [[t, *s] for t, s in zip(traj.times, traj.states)]
+    expected.insert(j, [traj.times[j], *traj.pre_impulse_state])
+    assert [[float(v) for v in l.split(",")] for l in lines[1:]] == expected
 
 
 def test_trajectory_stride_records_endpoints(setup25):

@@ -1,9 +1,12 @@
-"""Default-config summaries match the recorded ones.
+"""Default-config summaries and reports match the recorded ones.
 
 ``data/golden_summaries.json`` holds the ``summary.json`` of each CLI
-scenario at the default config, with ``config.out_dir`` dropped.  Floats
-must agree to 1e-12 relative; ints, bools, strings and the config echo must
-match exactly.  Refresh the file only for a change meant to alter results.
+scenario at the default config, with ``config.out_dir`` dropped.
+``data/golden_reports.json`` holds the default-config ``report.json`` of
+``controlled``, ``table1``, ``convexity`` and the first ``sweep`` cell, keyed
+by path below the output directory.  Floats must agree to 1e-12 relative;
+ints, bools, strings, nulls and the config echo must match exactly.  Refresh
+a file only for a change meant to alter results.
 """
 
 import json
@@ -14,9 +17,9 @@ import pytest
 
 from impulsehum.cli import EXIT_OK, main
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "golden_summaries.json").read_text(encoding="utf-8")
-)
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_summaries.json").read_text(encoding="utf-8"))
+GOLDEN_REPORTS = json.loads((DATA / "golden_reports.json").read_text(encoding="utf-8"))
 
 
 def _assert_close(got, want, where):
@@ -43,3 +46,10 @@ def test_default_summary_matches_golden(scenario, tmp_path):
     want = GOLDEN[scenario]
     assert got["config"] == want["config"]
     _assert_close(got, want, scenario)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_REPORTS))
+def test_default_report_matches_golden(path, tmp_path):
+    assert main([path.split("/")[0], "--out", str(tmp_path)]) == EXIT_OK
+    got = json.loads((tmp_path / path).read_text(encoding="utf-8"))
+    _assert_close(got, GOLDEN_REPORTS[path], path)

@@ -309,3 +309,17 @@ def test_solution_export(tmp_path, setup25):
     write_state_csv(grid.nodes, sol.control, cpath)
     lines = cpath.read_text().strip().split("\n")
     assert lines[0] == "x,value" and len(lines) == 27
+    rows = [[float(v) for v in l.split(",")] for l in lines[1:]]
+    assert rows == [[x, h] for x, h in zip(grid.nodes, sol.control)]
+
+
+def test_horizon_mismatch_rejected(setup25):
+    # the scheme spans 0.02; a solve for 0.04 would replay over the wrong horizon
+    _, d, mask, scheme, psi0 = setup25
+    cfg = HumConfig(epsilon=1e-2, tau=0.01, t_final=0.04)
+    with pytest.raises(ValueError, match="horizon"):
+        cg_solve(psi0, cfg, d, mask, scheme)
+    with pytest.raises(ValueError, match="horizon"):
+        solve_cost_weighted(psi0, cfg, d, mask, scheme)
+    with pytest.raises(ValueError, match="horizon"):
+        duality_residual(psi0, np.zeros(26), psi0, cfg, d, mask, scheme)
