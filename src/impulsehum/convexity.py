@@ -367,11 +367,25 @@ def epsilon_split_slack(
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    m1, m2, delta = split_constants(fit)
     final = evolve(theta0, scheme.t_final, d, scheme)
+    return _split_slack(theta0, final, epsilon, fit, d, mask, scheme.t_final)
+
+
+def _split_slack(
+    theta0: State,
+    final: State,
+    epsilon: float,
+    fit: ObservabilityFit,
+    d: Discretization,
+    mask: SubdomainMask,
+    t_final: float,
+) -> float:
+    """``epsilon_split_slack`` for a free flow whose state at ``t_final`` is
+    already known."""
+    m1, m2, delta = split_constants(fit)
     lhs = inner(final, final, d)
     with np.errstate(over="ignore"):
-        coef = (m1 * np.exp(m2 / scheme.t_final) / epsilon**delta) ** 2
+        coef = (m1 * np.exp(m2 / t_final) / epsilon**delta) ** 2
     rhs = coef * subdomain_norm(final, mask, d) ** 2 + epsilon**2 * inner(
         theta0, theta0, d
     )

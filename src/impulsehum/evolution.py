@@ -15,7 +15,11 @@ from math import ceil, isclose
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
+# No longer called here, but the benchmark's tracer (bench/tracer.py) looks up
+# ``evolution.cholesky_banded`` and ``evolution.cho_solve_banded`` by name and
+# fails if either is unbound.
+from scipy.linalg import cho_solve_banded  # noqa: F401
 
 from .mesh import Discretization, State, SubdomainMask, _check_length
 
@@ -67,21 +71,44 @@ class TimeScheme:
         return scheme
 
 
-def _make_step(d: Discretization, dt: float, theta: float) -> Callable[[State], State]:
-    """Factor (W - theta dt K) once and return the one-step map."""
-    n = d.grid.n_dof
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -theta * dt * d.k_off
-    ab[1, :] = d.w - theta * dt * d.k_main
-    factor = cholesky_banded(ab, lower=False)
+def _step_factor(d: Discretization, dt: float, theta: float) -> np.ndarray:
+    """Banded Cholesky factor of W - theta dt K, computed once per
+    (dt, theta) and kept in ``d.step_cache``."""
+    factor = d.step_cache.get((dt, theta))
+    if factor is None:
+        ab = np.zeros((2, d.grid.n_dof))
+        ab[0, 1:] = -theta * dt * d.k_off
+        ab[1, :] = d.w - theta * dt * d.k_main
+        factor = d.step_cache[(dt, theta)] = cholesky_banded(ab, lower=False)
+    return factor
+
+
+def _make_step(
+    d: Discretization, dt: float, theta: float, ndim: int
+) -> Callable[[State], State]:
+    """The one-step map on states of ``ndim`` dimensions (a block holds one
+    state per column).
+
+    The right-hand side is formed with the same operations in the same order
+    for every column, and LAPACK's pbtrs solves a block column by column, so
+    each column is bit-identical to stepping it alone.
+    """
+    factor = _step_factor(d, dt, theta)
+    (pbtrs,) = get_lapack_funcs(("pbtrs",), (factor,))
     c = (1.0 - theta) * dt
+    col = (-1,) + (1,) * (ndim - 1)
+    diag = (d.w + c * d.k_main).reshape(col)
+    off = (c * d.k_off).reshape(col)
 
     def step(u: State) -> State:
-        rhs = (d.w + c * d.k_main) * u
+        rhs = diag * u
         if c != 0.0:
-            rhs[:-1] += c * d.k_off * u[1:]
-            rhs[1:] += c * d.k_off * u[:-1]
-        return cho_solve_banded((factor, False), rhs)
+            rhs[:-1] += off * u[1:]
+            rhs[1:] += off * u[:-1]
+        x, info = pbtrs(factor, rhs, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        return x
 
     return step
 
@@ -155,7 +182,7 @@ def _march(
     Records step 0, every ``stride``-th step and step ``n``.  With ``k`` set,
     ``jump`` is added right after step k and both sides of it are recorded.
     """
-    step = _make_step(d, dt, theta)
+    step = _make_step(d, dt, theta, u.ndim)
     times = [0.0]
     states = [u.copy()]
     impulse_index = pre = None
@@ -168,6 +195,10 @@ def _march(
         if j % stride == 0 or j == n or j == k:
             times.append(j * dt)
             states.append(u.copy())
+    # The step is linear with finite coefficients, so a non-finite entry
+    # (overflow) persists to the last state once it appears.
+    if not np.all(np.isfinite(u)):
+        raise ValueError("state became non-finite while stepping")
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
@@ -177,8 +208,14 @@ def _march(
 
 
 def evolve(u0: State, t: float, d: Discretization, scheme: TimeScheme) -> State:
-    """Propagate ``u0`` over a time span ``t`` (the discrete semigroup)."""
-    u = _check_length(u0, d, "u0").copy()
+    """Propagate ``u0`` over a time span ``t`` (the discrete semigroup).
+
+    ``u0`` is one state or a block of shape (n_dof, m) holding one state per
+    column; each column of the result equals evolving that column alone.
+    """
+    u = np.array(u0, dtype=float)
+    if u.ndim != 2 or u.shape[0] != d.grid.n_dof:
+        u = _check_length(u, d, "u0")
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state contains non-finite entries")
     n, dt = steps_for(t, scheme)

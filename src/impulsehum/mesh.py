@@ -10,7 +10,7 @@ discretizes to a single diagonal weight vector ``w``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,12 +55,15 @@ class Discretization:
     vector spanning its kernel; the generator A = W^{-1} K is therefore
     self-adjoint and dissipative in the w-weighted inner product.  The two
     off-diagonals share one storage array, so K is symmetric bit-exactly.
+    ``step_cache`` holds the factored theta-step per (dt, theta); it belongs
+    to this pair and is filled by the time stepper.
     """
 
     grid: Grid
     w: np.ndarray
     k_main: np.ndarray
     k_off: np.ndarray
+    step_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def k_matrix(self) -> np.ndarray:

@@ -3,15 +3,46 @@
 These deliberately avoid the library's time steppers: the semigroup and the
 theta-scheme propagators are built from a dense symmetric eigendecomposition,
 quadrature uses scipy, and derivatives come from central differences, so each
-check pits two separate routes against each other.
+check pits two separate routes against each other.  The one exception is
+``reference_march``, a plain stepping loop through scipy's public banded
+Cholesky routines that the library's stepper must reproduce bit for bit.
 """
 
 from math import isclose
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
+
+
+def reference_march(u, d, n, dt, theta, k=None, jump=None):
+    """Every state of ``n`` theta-steps of size ``dt`` from ``u``.
+
+    Each step forms (W + (1 - theta) dt K) u and solves with the banded
+    Cholesky factor of W - theta dt K through ``cho_solve_banded``.  With
+    ``k`` set, ``jump`` is added right after step k.  Returns the (n + 1)
+    states as rows (row k post-jump) and the state just before the jump.
+    """
+    ab = np.zeros((2, d.grid.n_dof))
+    ab[0, 1:] = -theta * dt * d.k_off
+    ab[1, :] = d.w - theta * dt * d.k_main
+    factor = cholesky_banded(ab, lower=False)
+    c = (1.0 - theta) * dt
+    u = np.array(u, dtype=float)
+    states, pre = [u], None
+    for j in range(1, n + 1):
+        rhs = (d.w + c * d.k_main) * u
+        if c != 0.0:
+            rhs[:-1] += c * d.k_off * u[1:]
+            rhs[1:] += c * d.k_off * u[:-1]
+        u = cho_solve_banded((factor, False), rhs)
+        if j == k:
+            pre = u
+            u = u + jump
+        states.append(u)
+    return np.array(states), pre
 
 
 def dense_generator(d):

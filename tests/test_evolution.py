@@ -13,7 +13,7 @@ from impulsehum import (
     subdomain_mask,
 )
 
-from oracles import dense_semigroup
+from oracles import dense_semigroup, reference_march
 
 
 def test_scheme_validation():
@@ -68,6 +68,57 @@ def test_nonfinite_rejected(setup4):
         evolve(np.zeros(5), -1.0, d, scheme)
     with pytest.raises(ValueError, match="has shape"):
         evolve_trajectory(np.zeros(4), d, scheme)
+    # blocks: one state per column, rows must match the grid
+    with pytest.raises(ValueError, match="has shape"):
+        evolve(np.zeros((6, 3)), 0.01, d, scheme)
+    with pytest.raises(ValueError, match="has shape"):
+        evolve(np.zeros((5, 3, 2)), 0.01, d, scheme)
+    bad_block = np.zeros((5, 3))
+    bad_block[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        evolve(bad_block, 0.01, d, scheme)
+    # a finite state whose CN right-hand side overflows while stepping
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        evolve(np.full(5, 1e308), 10.0, d, TimeScheme(10.0, 1))
+
+
+@pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
+@pytest.mark.parametrize("nx", [4, 25, 400])
+def test_stepping_matches_reference_loop(nx, method):
+    grid = Grid(0.0, 1.0, nx)
+    d = build_discretization(grid)
+    mask = subdomain_mask(grid, 0.2, 0.8)
+    u, h = np.random.default_rng(nx).standard_normal((2, nx + 1))
+    # Two step sizes interleaved on one discretization (plus the spans'
+    # own dt), so a stale or wrongly keyed factor cache shows.
+    for n_steps in (200, 70, 200):
+        scheme = TimeScheme(0.02, n_steps, method)
+        for span in (0.01, 0.02):
+            n, dt = steps_for(span, scheme)
+            assert np.array_equal(evolve(u, span, d, scheme),
+                                  reference_march(u, d, n, dt, scheme.theta)[0][-1])
+        ref, _ = reference_march(u, d, n_steps, scheme.dt, scheme.theta)
+        traj = evolve_trajectory(u, d, scheme, stride=9)
+        assert np.array_equal(traj.states, ref[[*range(0, n_steps, 9), n_steps]])
+        k = round(0.01 / scheme.dt)
+        ref, pre = reference_march(u, d, n_steps, scheme.dt, scheme.theta, k, mask.mask * h)
+        imp = solve_impulsive(u, h, 0.01, d, mask, scheme)
+        assert imp.impulse_index == k
+        assert np.array_equal(imp.states, ref)
+        assert np.array_equal(imp.pre_impulse_state, pre)
+
+
+@pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
+def test_block_columns_match_single_evolve(method, setup25):
+    _, d, _, _, _ = setup25
+    scheme = TimeScheme(0.02, 200, method)
+    block = np.random.default_rng(10).standard_normal((26, 5))
+    for t in (0.0, 0.013, 0.02):
+        out = evolve(block, t, d, scheme)
+        assert out.shape == block.shape
+        for j in range(block.shape[1]):
+            assert np.array_equal(out[:, j], evolve(block[:, j], t, d, scheme))
+    assert not np.shares_memory(evolve(block, 0.0, d, scheme), block)
 
 
 def test_evolve_matches_dense_exponential_nx4(setup4):
