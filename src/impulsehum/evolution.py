@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, isclose
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cholesky_banded, get_lapack_funcs
@@ -173,18 +173,21 @@ def _march(
     n: int,
     dt: float,
     theta: float,
-    stride: int,
+    keep: Collection[int],
     k: Optional[int] = None,
     jump: Optional[State] = None,
 ) -> Trajectory:
     """Take ``n`` theta-steps of size ``dt`` from ``u``.
 
-    Records step 0, every ``stride``-th step and step ``n``.  With ``k`` set,
-    ``jump`` is added right after step k and both sides of it are recorded.
+    Records the states after the step counts in ``keep`` (0 is ``u``
+    itself), and nothing else.  With ``k`` set, ``jump`` is added right
+    after step k and both sides of it are recorded.
     """
     step = _make_step(d, dt, theta, u.ndim)
-    times = [0.0]
-    states = [u.copy()]
+    times, states = [], []
+    if 0 in keep:
+        times.append(0.0)
+        states.append(u.copy())
     impulse_index = pre = None
     for j in range(1, n + 1):
         u = step(u)
@@ -192,7 +195,7 @@ def _march(
             pre = u.copy()
             u = u + jump
             impulse_index = len(times)
-        if j % stride == 0 or j == n or j == k:
+        if j in keep or j == k:
             times.append(j * dt)
             states.append(u.copy())
     # The step is linear with finite coefficients, so a non-finite entry
@@ -207,21 +210,45 @@ def _march(
     )
 
 
-def evolve(u0: State, t: float, d: Discretization, scheme: TimeScheme) -> State:
-    """Propagate ``u0`` over a time span ``t`` (the discrete semigroup).
+def _strided(n: int, stride: int) -> frozenset:
+    """Step counts 0, stride, 2 stride, ... and n."""
+    return frozenset(range(0, n + 1, stride)) | {n}
 
-    ``u0`` is one state or a block of shape (n_dof, m) holding one state per
-    column; each column of the result equals evolving that column alone.
+
+def _evolve_to(
+    u0: State, targets: Sequence[tuple[int, float]], d: Discretization, theta: float
+) -> list[State]:
+    """``u0`` after each ``(n, dt)`` target (as :func:`steps_for` gives
+    them), in target order.
+
+    ``u0`` is one state or a block of shape (n_dof, m), one state per
+    column.  Targets whose dt agree bitwise share one march, which records
+    only their step counts, so each result equals evolving to that target
+    alone, bit for bit.
     """
     u = np.array(u0, dtype=float)
     if u.ndim != 2 or u.shape[0] != d.grid.n_dof:
         u = _check_length(u, d, "u0")
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state contains non-finite entries")
-    n, dt = steps_for(t, scheme)
-    if n == 0:
-        return u
-    return _march(u, d, n, dt, scheme.theta, stride=n).final_state
+    counts: dict[float, set] = {}
+    for n, dt in targets:
+        if n > 0:
+            counts.setdefault(dt, set()).add(n)
+    at = {}
+    for dt, keep in counts.items():
+        traj = _march(u, d, max(keep), dt, theta, keep)
+        at.update(((n, dt), state) for n, state in zip(sorted(keep), traj.states))
+    return [at[n, dt] if n > 0 else u.copy() for n, dt in targets]
+
+
+def evolve(u0: State, t: float, d: Discretization, scheme: TimeScheme) -> State:
+    """Propagate ``u0`` over a time span ``t`` (the discrete semigroup).
+
+    ``u0`` is one state or a block of shape (n_dof, m) holding one state per
+    column; each column of the result equals evolving that column alone.
+    """
+    return _evolve_to(u0, [steps_for(t, scheme)], d, scheme.theta)[0]
 
 
 def evolve_trajectory(
@@ -233,7 +260,8 @@ def evolve_trajectory(
     u = _check_length(u0, d, "u0")
     if not np.all(np.isfinite(u)):
         raise ValueError("initial state contains non-finite entries")
-    return _march(u, d, scheme.n_steps, scheme.dt, scheme.theta, stride)
+    n = scheme.n_steps
+    return _march(u, d, n, scheme.dt, scheme.theta, _strided(n, stride))
 
 
 def solve_impulsive(
@@ -267,4 +295,5 @@ def solve_impulsive(
     h = _check_length(h, d, "h")
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(h))):
         raise ValueError("initial state or control contains non-finite entries")
-    return _march(u, d, scheme.n_steps, dt, scheme.theta, stride, k, mask.mask * h)
+    n = scheme.n_steps
+    return _march(u, d, n, dt, scheme.theta, _strided(n, stride), k, mask.mask * h)

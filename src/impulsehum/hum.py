@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import TimeScheme, _write_csv, evolve, solve_impulsive
+from .evolution import TimeScheme, _evolve_to, _write_csv, evolve, solve_impulsive, steps_for
 from .mesh import Discretization, State, SubdomainMask, inner, norm, subdomain_norm
 
 
@@ -86,6 +86,7 @@ class HumSolution:
     tol: float
     converged: bool
     kappa: Optional[float] = None
+    true_residual: float = 0.0
 
 
 def control_op(v: State, mask: SubdomainMask) -> State:
@@ -142,6 +143,10 @@ def _run_cg(
 ):
     """CG on (obs_weight * Lambda + penalty I) f = -E(T) psi0.
 
+    Returns the iterate, the residual and functional histories, the
+    iteration count, whether the recursive residual met the tolerance, and
+    |g_0|.
+
     Follows the printed iteration: g_0 = penalty f_0 + obs_weight Lambda f_0
     + E(T) psi0, descent directions w_k, step rho_k = |g_{k-1}|^2 /
     <gbar_k, w_{k-1}>, restart-free, stop on |g_k| / |g_0| <= tol.
@@ -168,7 +173,7 @@ def _run_cg(
 
     g0_norm = norm(g, d)
     if g0_norm == 0.0:
-        return f, np.array([0.0]), np.array([objective(f, g)]), 0, True
+        return f, np.array([0.0]), np.array([objective(f, g)]), 0, True, g0_norm
 
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * d.grid.nx
     residuals = [1.0]
@@ -197,27 +202,38 @@ def _run_cg(
             break
         w = g + (new_norm**2 / g_norm**2) * w
         g_norm = new_norm
-    return f, np.array(residuals), np.array(functionals), iterations, converged
+    return f, np.array(residuals), np.array(functionals), iterations, converged, g0_norm
 
 
-def _package(
+def _solve(
     psi0: State,
     cfg: HumConfig,
     d: Discretization,
     mask: SubdomainMask,
     scheme: TimeScheme,
-    f: State,
-    residuals: np.ndarray,
-    functionals: np.ndarray,
-    iterations: int,
-    converged: bool,
-    control_scale: float,
+    obs_weight: float,
+    penalty: float,
+    f0: Optional[State],
     kappa: Optional[float],
 ) -> HumSolution:
+    """Run CG, then build the control obs_weight B E(T-tau) f and replay the
+    impulsive solve once for the final state Psi(T).
+
+    Since the control carries the operator's observation weight,
+    Psi(T) = E(T) psi0 + obs_weight Lambda f up to roundoff, so
+    penalty f + Psi(T) is the true residual of the CG system at f.  ``converged`` also requires it
+    (relative to |g_0|) to meet the tolerance, because CG's recursive
+    residual can drift below the true one near roundoff.
+    """
+    f, residuals, functionals, iterations, converged, g0_norm = _run_cg(
+        psi0, cfg, d, mask, scheme, obs_weight, penalty, f0
+    )
     span = cfg.t_final - cfg.tau
-    control = control_scale * control_op(evolve(f, span, d, scheme), mask)
-    traj = solve_impulsive(psi0, control, cfg.tau, d, mask, scheme)
+    control = obs_weight * control_op(evolve(f, span, d, scheme), mask)
+    # Only the final state is read, so keep no snapshots between the ends.
+    traj = solve_impulsive(psi0, control, cfg.tau, d, mask, scheme, stride=scheme.n_steps)
     final = traj.final_state
+    true_residual = norm(penalty * f + final, d) / g0_norm if g0_norm else 0.0
     return HumSolution(
         minimizer=f,
         control=control,
@@ -230,8 +246,9 @@ def _package(
         initial_norm=norm(psi0, d),
         epsilon=cfg.epsilon,
         tol=cfg.tol,
-        converged=converged,
+        converged=converged and true_residual <= cfg.tol,
         kappa=kappa,
+        true_residual=true_residual,
     )
 
 
@@ -263,13 +280,8 @@ def cg_solve(
     False rather than raising, so partial sweeps stay reproducible.
     """
     _check_horizon(cfg, scheme, "cg_solve")
-    f, res, fun, iters, conv = _run_cg(
-        psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon, f0=f0
-    )
-    return _package(
-        psi0, cfg, d, mask, scheme, f, res, fun, iters, conv,
-        control_scale=1.0, kappa=None,
-    )
+    return _solve(psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon,
+                  f0=f0, kappa=None)
 
 
 def solve_cost_weighted(
@@ -293,14 +305,8 @@ def solve_cost_weighted(
     """
     _check_horizon(cfg, scheme, "solve_cost_weighted")
     kappa = cfg.kappa if cfg.kappa is not None else 1.0 / cfg.epsilon
-    f, res, fun, iters, conv = _run_cg(
-        psi0, cfg, d, mask, scheme,
-        obs_weight=kappa**2, penalty=cfg.epsilon**2, f0=f0,
-    )
-    return _package(
-        psi0, cfg, d, mask, scheme, f, res, fun, iters, conv,
-        control_scale=kappa**2, kappa=kappa,
-    )
+    return _solve(psi0, cfg, d, mask, scheme, obs_weight=kappa**2,
+                  penalty=cfg.epsilon**2, f0=f0, kappa=kappa)
 
 
 def duality_residual(
@@ -320,9 +326,11 @@ def duality_residual(
     because the discrete semigroup is self-adjoint.
     """
     _check_horizon(cfg, scheme, "duality_residual")
-    z_end = evolve(zeta0, cfg.t_final, d, scheme)
-    z_mid = evolve(zeta0, cfg.t_final - cfg.tau, d, scheme)
-    traj = solve_impulsive(psi0, h, cfg.tau, d, mask, scheme)
+    z_end, z_mid = _evolve_to(
+        zeta0, [steps_for(t, scheme) for t in (cfg.t_final, cfg.t_final - cfg.tau)],
+        d, scheme.theta,
+    )
+    traj = solve_impulsive(psi0, h, cfg.tau, d, mask, scheme, stride=scheme.n_steps)
     term_control = inner(control_op(h, mask), z_mid, d)
     return abs(term_control + inner(psi0, z_end, d) - inner(traj.final_state, zeta0, d))
 

@@ -26,7 +26,7 @@ from .config import (
     make_mask,
     make_scheme,
 )
-from .evolution import TimeScheme, evolve, evolve_trajectory, solve_impulsive
+from .evolution import TimeScheme, _evolve_to, evolve_trajectory, solve_impulsive, steps_for
 from .hum import (
     CgBreakdownError,
     HumConfig,
@@ -223,15 +223,20 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     )
 
     states = [random_smooth_state(grid, SplitMix64(cfg.seed + i)) for i in range(n_seeds)]
-    checks = [cvx.three_point_check(u0, wp, t1, t2, t3, d, scheme, constants=constants)
-              for u0 in states]
-    # One block evolve per horizon, one ensemble state per column.
-    block = np.column_stack(states)
-    finals = []
-    for mult in (1.0, 2.5, 5.0):
-        horizon = mult * cfg.t_final
-        sub_scheme = TimeScheme(horizon, int(round(cfg.n_steps * mult)), cfg.method)
-        finals.append((horizon, evolve(block, horizon, d, sub_scheme)))
+    # One plan for the whole ensemble, one state per column: t1, t2, t3 on
+    # the configured scheme and the 1x/2.5x/5x observability horizons on
+    # their own schemes.  Targets that share a step size share one march.
+    times = (t1, t2, t3)
+    horizons = [(mult * cfg.t_final, int(round(cfg.n_steps * mult)))
+                for mult in (1.0, 2.5, 5.0)]
+    targets = [steps_for(t, scheme) for t in times] + [
+        steps_for(h, TimeScheme(h, n, cfg.method)) for h, n in horizons
+    ]
+    at = _evolve_to(np.column_stack(states), targets, d, scheme.theta)
+    checks = [cvx._three_point([block[:, i] for block in at[:3]], times,
+                               constants.m_three_point, constants.d_three_point, wp, d, scheme)
+              for i in range(n_seeds)]
+    finals = [(h, block) for (h, _), block in zip(horizons, at[3:])]
     samples = [
         cvx.ObservabilitySample(
             t_final=horizon,
@@ -245,7 +250,7 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     fit = cvx.fit_observability(samples)
     # The 1x horizon runs the configured scheme, so its block already holds
     # each state at t_final.
-    at_t_final = finals[0][1]
+    at_t_final = at[3]
     split_slacks = [cvx._split_slack(u0, at_t_final[:, i], eps, fit, d, mask, cfg.t_final)
                     for eps in (1.0, 0.1, 0.01) for i, u0 in enumerate(states[:5])]
 

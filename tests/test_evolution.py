@@ -13,6 +13,8 @@ from impulsehum import (
     subdomain_mask,
 )
 
+from impulsehum.evolution import _evolve_to, _march
+
 from oracles import dense_semigroup, reference_march
 
 
@@ -119,6 +121,49 @@ def test_block_columns_match_single_evolve(method, setup25):
         for j in range(block.shape[1]):
             assert np.array_equal(out[:, j], evolve(block[:, j], t, d, scheme))
     assert not np.shares_memory(evolve(block, 0.0, d, scheme), block)
+
+
+@pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
+@pytest.mark.parametrize("nx", [4, 25, 400])
+def test_evolve_to_matches_separate_evolves(nx, method):
+    d = build_discretization(Grid(0.0, 1.0, nx))
+    scheme = TimeScheme(0.02, 200, method)
+    # Each result must equal its own evolve, which the reference-loop test
+    # above pins.  Two (span, scheme) plans: in the first every dt equals
+    # 0.02 / 200 bit for bit (the 5x horizon on its own scheme included), so
+    # it is one march; the second repeats a target, holds t = 0 and mixes
+    # four step sizes.
+    one_group = [(0.004, scheme), (0.012, scheme), (0.02, scheme),
+                 (0.1, TimeScheme(0.1, 1000, method))]
+    several = [(0.0, scheme), (0.01005, scheme), (0.004, scheme), (0.02, scheme),
+               (0.004, scheme), (0.05, TimeScheme(0.05, 501, method)),
+               (0.013, TimeScheme(0.02, 201, method))]
+    rng = np.random.default_rng(nx)
+    for u in (rng.standard_normal(nx + 1), rng.standard_normal((nx + 1, 1)),
+              rng.standard_normal((nx + 1, 20))):
+        for plan, groups in ((one_group, 1), (several, 4)):
+            targets = [steps_for(t, s) for t, s in plan]
+            assert len({dt for n, dt in targets if n > 0}) == groups
+            got = _evolve_to(u, targets, d, scheme.theta)
+            assert len(got) == len(plan)
+            for out, (t, s) in zip(got, plan):
+                assert np.array_equal(out, evolve(u, t, d, s))
+        # t = 0 gives a copy
+        assert not np.shares_memory(got[0], u)
+
+
+def test_march_keeps_only_requested_steps(setup25):
+    _, d, mask, scheme, psi0 = setup25
+    block = np.column_stack([psi0, -psi0, 2.0 * psi0])
+    traj = _march(block, d, 1000, scheme.dt, scheme.theta, {40, 120, 1000})
+    np.testing.assert_array_equal(traj.times, np.array([40, 120, 1000]) * scheme.dt)
+    assert traj.states.shape == (3, 26, 3)
+    # a replay that reads only the final state keeps the ends and the jump
+    imp = solve_impulsive(psi0, np.ones(26), 0.01, d, mask, scheme, stride=200)
+    np.testing.assert_array_equal(imp.times, np.array([0, 100, 200]) * scheme.dt)
+    assert imp.impulse_index == 1
+    traj = evolve_trajectory(psi0, d, scheme, stride=37)
+    assert len(traj.times) == len(range(0, 201, 37)) + 1
 
 
 def test_evolve_matches_dense_exponential_nx4(setup4):

@@ -4,7 +4,8 @@
 scenario at the default config, with ``config.out_dir`` dropped.
 ``data/golden_reports.json`` holds the default-config ``report.json`` of
 ``controlled``, ``table1``, ``convexity`` and the first ``sweep`` cell, keyed
-by path below the output directory.  Floats must agree to 1e-12 relative;
+by path below the output directory.  ``data/golden_convexity_nsteps201.json``
+holds the convexity ``report.json`` at ``--nsteps 201``.  Floats must agree to 1e-12 relative;
 ints, bools, strings, nulls and the config echo must match exactly.  Refresh
 a file only for a change meant to alter results.
 """
@@ -20,6 +21,8 @@ from impulsehum.cli import EXIT_OK, main
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_summaries.json").read_text(encoding="utf-8"))
 GOLDEN_REPORTS = json.loads((DATA / "golden_reports.json").read_text(encoding="utf-8"))
+GOLDEN_NSTEPS201 = json.loads(
+    (DATA / "golden_convexity_nsteps201.json").read_text(encoding="utf-8"))
 
 
 def _assert_close(got, want, where):
@@ -53,3 +56,12 @@ def test_default_report_matches_golden(path, tmp_path):
     assert main([path.split("/")[0], "--out", str(tmp_path)]) == EXIT_OK
     got = json.loads((tmp_path / path).read_text(encoding="utf-8"))
     _assert_close(got, GOLDEN_REPORTS[path], path)
+
+
+def test_convexity_report_with_several_step_sizes_matches_golden(tmp_path):
+    # 201 steps align to 202, so t1 (41 steps) and t2 (122 steps) each get
+    # their own dt, while t3 and the three horizons (202, 505, 1010 steps on
+    # their own schemes) share one: the ensemble marches in three groups.
+    assert main(["convexity", "--nsteps", "201", "--out", str(tmp_path)]) == EXIT_OK
+    got = json.loads((tmp_path / "convexity" / "report.json").read_text(encoding="utf-8"))
+    _assert_close(got, GOLDEN_NSTEPS201, "convexity --nsteps 201")

@@ -17,6 +17,7 @@ from impulsehum import (
     norm,
     penalized_objective,
     solve_cost_weighted,
+    solve_impulsive,
     solution_to_dict,
     subdomain_mask,
     subdomain_norm,
@@ -180,6 +181,33 @@ def test_cg_max_iter_flagged(setup25):
     sol = cg_solve(psi0, _cfg(1e-4, max_iter=2), d, mask, scheme)
     assert not sol.converged
     assert sol.iterations == 2
+
+
+def test_false_convergence_flagged(setup25):
+    # Near roundoff CG's recursive residual drifts below the true one: here
+    # it reads 6.95e-10 <= tol while the true residual is 1.41e-9.
+    _, d, mask, scheme, psi0 = setup25
+    cfg = _cfg(1e-10, tol=1e-9)
+    sol = cg_solve(psi0, cfg, d, mask, scheme)
+    assert sol.residual_history[-1] <= cfg.tol < sol.true_residual
+    assert not sol.converged
+    assert "true_residual" not in solution_to_dict(sol)
+
+
+@pytest.mark.parametrize("solver", [cg_solve, solve_cost_weighted])
+def test_true_residual_and_final_state(solver, setup25):
+    _, d, mask, scheme, psi0 = setup25
+    cfg = _cfg(1e-3)
+    sol = solver(psi0, cfg, d, mask, scheme)
+    # the solution's true residual against one built from gramian_apply
+    weight, penalty = (sol.kappa**2, cfg.epsilon**2) if sol.kappa else (1.0, cfg.epsilon)
+    b = evolve(psi0, cfg.t_final, d, scheme)
+    g = weight * gramian_apply(sol.minimizer, cfg, d, mask, scheme) + penalty * sol.minimizer + b
+    assert sol.true_residual == pytest.approx(norm(g, d) / norm(b, d), rel=1e-8)
+    assert sol.converged and sol.true_residual <= cfg.tol
+    # the final state is the last state of a stride-1 replay, bit for bit
+    replay = solve_impulsive(psi0, sol.control, cfg.tau, d, mask, scheme)
+    assert np.array_equal(sol.final_state, replay.final_state)
 
 
 def test_cg_linearity_in_initial_state(setup25):
