@@ -12,15 +12,8 @@ import numpy as np
 
 from .convexity import WeightParams, check_admissible
 from .evolution import TimeScheme
-from .mesh import Grid, SubdomainMask, subdomain_mask
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; ``field`` names the offending entry."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        super().__init__(f"config field '{field_name}': {message}")
+from .hum import HumConfig
+from .mesh import ConfigError, Grid, SubdomainMask, subdomain_mask
 
 
 @dataclass(frozen=True)
@@ -70,25 +63,27 @@ class ExperimentConfig:
 _PSI0_KINDS = ("sine", "gaussian", "nodes-from-file")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# What a JSON value must be to fill a field, keyed by the field's annotation.
+_ACCEPTS = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("a list of numbers",
+              lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+}
+
+
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Validate every field; returns a copy with the step count aligned so
-    the impulse time sits exactly on the time grid."""
-    if not cfg.a < cfg.b:
-        raise ConfigError("b", f"need a < b, got a={cfg.a}, b={cfg.b}")
-    if cfg.nx < 2:
-        raise ConfigError("nx", f"must be at least 2, got {cfg.nx}")
-    if not cfg.t_final > 0:
-        raise ConfigError("t_final", f"must be positive, got {cfg.t_final}")
-    if cfg.n_steps < 1:
-        raise ConfigError("n_steps", f"must be at least 1, got {cfg.n_steps}")
-    if cfg.method not in ("crank_nicolson", "backward_euler"):
-        raise ConfigError("method", f"unknown method {cfg.method!r}")
-    if not 0.0 < cfg.tau < cfg.t_final:
-        raise ConfigError("tau", f"must lie in (0, {cfg.t_final}), got {cfg.tau}")
-    try:
-        make_mask(cfg, make_grid(cfg))
-    except ValueError as exc:
-        raise ConfigError("omega_lo", str(exc)) from exc
+    the impulse time sits exactly on the time grid.  A field is checked by
+    the object that uses it; only fields no object takes are checked here."""
+    grid = make_grid(cfg)
+    make_mask(cfg, grid)
+    aligned = make_scheme(cfg).with_impulse_alignment(cfg.tau)
     if cfg.psi0_kind not in _PSI0_KINDS:
         raise ConfigError("psi0_kind", f"must be one of {_PSI0_KINDS}, got {cfg.psi0_kind!r}")
     if cfg.psi0_kind == "nodes-from-file" and not cfg.psi0_path:
@@ -98,32 +93,14 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if not cfg.epsilons:
         raise ConfigError("epsilons", "must not be empty")
     for eps in cfg.epsilons:
-        if not eps > 0:
-            raise ConfigError("epsilons", f"entries must be positive, got {eps}")
-    if not 0.0 < cfg.tol < 1.0:
-        raise ConfigError("tol", f"must lie in (0, 1), got {cfg.tol}")
-    if cfg.max_iter is not None and cfg.max_iter < 1:
-        raise ConfigError("max_iter", f"must be at least 1, got {cfg.max_iter}")
-    if cfg.kappa is not None and not cfg.kappa > 0:
-        raise ConfigError("kappa", f"must be positive, got {cfg.kappa}")
-    if not cfg.a < cfg.x0 < cfg.b:
-        raise ConfigError("x0", f"must lie inside ({cfg.a}, {cfg.b}), got {cfg.x0}")
-    try:
-        wp = WeightParams(x0=cfg.x0, s=cfg.s, hbar=cfg.hbar, t_final=cfg.t_final)
-        check_admissible(wp, Grid(cfg.a, cfg.b, cfg.nx))
-    except ValueError as exc:
-        raise ConfigError("s", str(exc)) from exc
+        HumConfig(eps, cfg.tau, cfg.t_final, cfg.tol, cfg.max_iter, cfg.kappa)
+    check_admissible(WeightParams(x0=cfg.x0, s=cfg.s, hbar=cfg.hbar, t_final=cfg.t_final), grid)
     if not cfg.ell > 1.0:
         raise ConfigError("ell", f"must exceed 1, got {cfg.ell}")
     if cfg.snapshot_stride < 1:
         raise ConfigError("snapshot_stride", f"must be at least 1, got {cfg.snapshot_stride}")
     if cfg.seed < 0:
         raise ConfigError("seed", f"must be nonnegative, got {cfg.seed}")
-    try:
-        scheme = TimeScheme(cfg.t_final, cfg.n_steps, cfg.method)
-        aligned = scheme.with_impulse_alignment(cfg.tau)
-    except ValueError as exc:
-        raise ConfigError("tau", str(exc)) from exc
     if aligned.n_steps != cfg.n_steps:
         cfg = replace(cfg, n_steps=aligned.n_steps)
     return cfg
@@ -142,17 +119,19 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
             raise ConfigError("config", f"{path} must hold a JSON object")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
+    fields = ExperimentConfig.__dataclass_fields__
+    unknown = sorted(set(data) - set(fields))
     if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown field")
+        raise ConfigError(unknown[0], "unknown field")
+    for name, value in data.items():
+        hint = fields[name].type
+        kind = hint.removeprefix("Optional[").removesuffix("]")
+        what, accepts = _ACCEPTS[kind]
+        if not (value is None and kind != hint) and not accepts(value):
+            raise ConfigError(name, f"expected {what}, got {value!r}")
     if "epsilons" in data:
         data["epsilons"] = tuple(float(e) for e in data["epsilons"])
-    try:
-        cfg = ExperimentConfig(**data)
-    except TypeError as exc:
-        raise ConfigError("config", str(exc)) from exc
-    return validate(cfg)
+    return validate(ExperimentConfig(**data))
 
 
 def make_grid(cfg: ExperimentConfig) -> Grid:

@@ -17,7 +17,9 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from .evolution import TimeScheme, Trajectory, _evolve_to, _write_csv, evolve, steps_for
-from .mesh import Discretization, Grid, State, SubdomainMask, inner, norm, subdomain_norm
+from .mesh import (
+    ConfigError, Discretization, Grid, State, SubdomainMask, inner, norm, subdomain_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,11 @@ class WeightParams:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.s <= 1.0:
-            raise ValueError(f"s must lie in [0, 1], got {self.s}")
+            raise ConfigError("s", f"must lie in [0, 1], got {self.s}")
         if not 0.0 < self.hbar <= 1.0:
-            raise ValueError(f"hbar must lie in (0, 1], got {self.hbar}")
+            raise ConfigError("hbar", f"must lie in (0, 1], got {self.hbar}")
         if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+            raise ConfigError("t_final", f"must be positive, got {self.t_final}")
 
     def upsilon(self, t):
         return self.t_final - t + self.hbar
@@ -71,11 +73,12 @@ def admissible_s_bound(x0: float, a: float, b: float) -> float:
 def check_admissible(wp: WeightParams, grid: Grid) -> None:
     """Reject weight parameters outside the admissible range."""
     if not grid.a < wp.x0 < grid.b:
-        raise ValueError(f"x0={wp.x0} must lie inside ({grid.a}, {grid.b})")
+        raise ConfigError("x0", f"{wp.x0} must lie inside ({grid.a}, {grid.b})")
     bound = admissible_s_bound(wp.x0, grid.a, grid.b)
     if wp.s > bound:
-        raise ValueError(
-            f"s={wp.s} exceeds the admissible bound "
+        raise ConfigError(
+            "s",
+            f"{wp.s} exceeds the admissible bound "
             f"min(2/sqrt(x0-a), 2/sqrt(b-x0), 1) = {bound}"
         )
 
@@ -106,7 +109,7 @@ def _boundary_constants(wp: WeightParams, a: float, b: float) -> tuple[float, fl
         wp.s**2 * (b - wp.x0) / 4.0,
     )
     if not 0.0 < c0 < 1.0:
-        raise ValueError(f"c0={c0} falls outside (0, 1); s={wp.s} is inadmissible")
+        raise ConfigError("s", f"c0={c0} falls outside (0, 1); s={wp.s} is inadmissible")
     return c_const, c0
 
 
@@ -133,15 +136,16 @@ def convexity_constants(
     for the triple T, T - ell*hbar, T - 2*ell*hbar."""
     check_admissible(wp, grid)
     if wp.s == 0.0:
-        raise ValueError("constants need s > 0 (s = 0 is a test-only weight mode)")
+        raise ConfigError("s", "constants need s > 0 (s = 0 is a test-only weight mode)")
+    if not ell > 1.0:
+        raise ConfigError("ell", f"must exceed 1, got {ell}")
+    # 2*ell*hbar < T alone lets a tiny hbar collapse the calibrated times.
+    t_lo, t_mid = wp.t_final - 2.0 * ell * wp.hbar, wp.t_final - ell * wp.hbar
+    if not 0.0 < t_lo < t_mid < wp.t_final:
+        raise ConfigError("hbar", f"need 0 < T - 2*ell*hbar < T - ell*hbar < T, got "
+                                  f"T={wp.t_final}, ell={ell}, hbar={wp.hbar}")
     c_const, c0 = _boundary_constants(wp, grid.a, grid.b)
     m, d = _three_point_constants(wp, c_const, c0, t1, t2, t3)
-    if not ell > 1.0:
-        raise ValueError(f"ell must exceed 1, got {ell}")
-    if not 2.0 * ell * wp.hbar < wp.t_final:
-        raise ValueError(
-            f"need 2*ell*hbar < t_final, got 2*{ell}*{wp.hbar} vs {wp.t_final}"
-        )
     m_ell = ((ell + 1.0) ** c0 - 1.0) / (1.0 - ((ell + 1.0) / (2.0 * ell + 1.0)) ** c0)
     d_ell = 2.0 * c_const * ell**2 * (1.0 + m_ell)
     return ConvexityConstants(

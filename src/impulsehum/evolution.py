@@ -21,7 +21,7 @@ from scipy.linalg import cholesky_banded, get_lapack_funcs
 # fails if either is unbound.
 from scipy.linalg import cho_solve_banded  # noqa: F401
 
-from .mesh import Discretization, State, SubdomainMask, _check_length
+from .mesh import ConfigError, Discretization, State, SubdomainMask, _check_length
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
@@ -36,13 +36,11 @@ class TimeScheme:
 
     def __post_init__(self) -> None:
         if not self.t_final > 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+            raise ConfigError("t_final", f"must be positive, got {self.t_final}")
         if self.n_steps < 1:
-            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
+            raise ConfigError("n_steps", f"must be at least 1, got {self.n_steps}")
         if self.method not in _THETA:
-            raise ValueError(
-                f"method must be one of {sorted(_THETA)}, got {self.method!r}"
-            )
+            raise ConfigError("method", f"must be one of {sorted(_THETA)}, got {self.method!r}")
 
     @property
     def dt(self) -> float:
@@ -60,14 +58,14 @@ class TimeScheme:
         rational and n_steps is rounded up to a multiple of its denominator.
         """
         if not 0.0 < tau < self.t_final:
-            raise ValueError(f"tau must lie in (0, {self.t_final}), got {tau}")
+            raise ConfigError("tau", f"must lie in (0, {self.t_final}), got {tau}")
         frac = Fraction(tau / self.t_final).limit_denominator(10**6)
         q = frac.denominator
         n = ceil(self.n_steps / q) * q
         scheme = TimeScheme(self.t_final, n, self.method)
         k = round(tau / scheme.dt)
-        if not isclose(k * scheme.dt, tau, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(f"tau={tau} cannot be aligned to the time grid")
+        if k < 1 or not isclose(k * scheme.dt, tau, rel_tol=1e-9, abs_tol=1e-12):
+            raise ConfigError("tau", f"{tau} cannot be aligned to the time grid")
         return scheme
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .evolution import TimeScheme, _evolve_to, _write_csv, evolve, solve_impulsive, steps_for
-from .mesh import Discretization, State, SubdomainMask, inner, norm, subdomain_norm
+from .mesh import ConfigError, Discretization, State, SubdomainMask, inner, norm, subdomain_norm
 
 
 class CgBreakdownError(RuntimeError):
@@ -54,19 +54,19 @@ class HumConfig:
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ConfigError("epsilons", f"entries must be positive, got {self.epsilon}")
         # tau == t_final is tolerated so the degenerate Gramian (identity
         # semigroup) stays testable; the impulse solvers require tau < t_final.
         if not 0.0 < self.tau <= self.t_final:
-            raise ValueError(
-                f"need 0 < tau <= t_final, got tau={self.tau}, t_final={self.t_final}"
+            raise ConfigError(
+                "tau", f"need 0 < tau <= t_final, got tau={self.tau}, t_final={self.t_final}"
             )
         if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
+            raise ConfigError("tol", f"must lie in (0, 1), got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+            raise ConfigError("max_iter", f"must be at least 1, got {self.max_iter}")
         if self.kappa is not None and not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+            raise ConfigError("kappa", f"must be positive, got {self.kappa}")
 
 
 @dataclass(frozen=True)

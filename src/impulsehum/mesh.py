@@ -19,6 +19,15 @@ import numpy as np
 State = np.ndarray
 
 
+class ConfigError(ValueError):
+    """Invalid parameter; ``field`` names the ``ExperimentConfig`` entry it
+    comes from.  Raised by the library constructors and by config validation."""
+
+    def __init__(self, field_name: str, message: str):
+        self.field = field_name
+        super().__init__(f"config field '{field_name}': {message}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform mesh of [a, b] with ``nx`` cells and ``nx + 1`` nodes."""
@@ -29,9 +38,9 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.nx < 2:
-            raise ValueError(f"nx must be at least 2, got {self.nx}")
+            raise ConfigError("nx", f"must be at least 2, got {self.nx}")
         if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
+            raise ConfigError("b", f"need a < b, got a={self.a}, b={self.b}")
 
     @property
     def dx(self) -> float:
@@ -142,7 +151,8 @@ class SubdomainMask:
 
 def subdomain_mask(grid: Grid, omega_lo: float, omega_hi: float) -> SubdomainMask:
     if not (grid.a < omega_lo < omega_hi < grid.b):
-        raise ValueError(
+        raise ConfigError(
+            "omega_lo",
             f"need a < omega_lo < omega_hi < b, got ({omega_lo}, {omega_hi}) "
             f"inside ({grid.a}, {grid.b})"
         )
@@ -153,7 +163,8 @@ def subdomain_mask(grid: Grid, omega_lo: float, omega_hi: float) -> SubdomainMas
     m = ((x >= omega_lo - pad) & (x <= omega_hi + pad)).astype(float)
     m[0] = m[-1] = 0.0
     if not m.any():
-        raise ValueError(
+        raise ConfigError(
+            "omega_lo",
             f"omega=({omega_lo}, {omega_hi}) contains no interior grid node at nx={grid.nx}"
         )
     return SubdomainMask(omega_lo=omega_lo, omega_hi=omega_hi, mask=m)

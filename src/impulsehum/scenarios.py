@@ -207,10 +207,7 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     t3 = cfg.t_final
     t2 = cfg.t_final - cfg.ell * cfg.hbar
     t1 = cfg.t_final - 2.0 * cfg.ell * cfg.hbar
-    try:
-        constants = cvx.convexity_constants(wp, grid, cfg.ell, t1, t2, t3)
-    except ValueError as exc:
-        raise ConfigError("hbar", str(exc)) from exc
+    constants = cvx.convexity_constants(wp, grid, cfg.ell, t1, t2, t3)
 
     traj = evolve_trajectory(psi0, d, scheme, stride=cfg.snapshot_stride)
     try:

@@ -32,25 +32,43 @@ def test_defaults_validate():
     assert cfg.psi0_amplitude == pytest.approx(np.sqrt(2.0))
 
 
+FIELD_CASES = [
+    ("nx", 1, "nx"),
+    ("tau", 0.05, "tau"),
+    ("omega_lo", -0.1, "omega_lo"),
+    ("tol", 2.0, "tol"),
+    ("epsilons", (), "epsilons"),
+    ("snapshot_stride", 0, "snapshot_stride"),
+    ("psi0_kind", "noise", "psi0_kind"),
+    ("ell", 0.5, "ell"),
+    ("method", "leapfrog", "method"),
+    ("b", 0.0, "b"),
+    ("t_final", 0.0, "t_final"),
+    ("tau", 1e-13, "tau"),  # rounds to step 0, which the impulse solver rejects
+    ("n_steps", 0, "n_steps"),
+    ("max_iter", 0, "max_iter"),
+    ("kappa", -1.0, "kappa"),
+    ("epsilons", (1e-2, -1e-3), "epsilons"),
+    ("x0", 1.5, "x0"),
+    ("hbar", 0.0, "hbar"),
+    ("seed", -1, "seed"),
+    ("psi0_kind", "nodes-from-file", "psi0_path"),
+    ("psi0_width", 0.0, "psi0_width"),
+]
+
+
+# Test ids name the (field, value) that is set, as pytest would for two arguments.
 @pytest.mark.parametrize(
-    "field,value",
-    [
-        ("nx", 1),
-        ("tau", 0.05),
-        ("omega_lo", -0.1),
-        ("tol", 2.0),
-        ("epsilons", ()),
-        ("snapshot_stride", 0),
-        ("psi0_kind", "noise"),
-        ("ell", 0.5),
-        ("method", "leapfrog"),
-    ],
+    "field,value,expected_field",
+    FIELD_CASES,
+    ids=[f"{f}-{v}" if np.isscalar(v) else f"{f}-value{i}"
+         for i, (f, v, _) in enumerate(FIELD_CASES)],
 )
-def test_validation_names_offending_field(field, value):
+def test_validation_names_offending_field(field, value, expected_field):
     cfg = replace(ExperimentConfig(), **{field: value})
     with pytest.raises(ConfigError) as err:
         validate(cfg)
-    assert err.value.field is not None
+    assert err.value.field == expected_field
 
 
 def test_validation_aligns_impulse_steps():
@@ -58,12 +76,18 @@ def test_validation_aligns_impulse_steps():
     assert cfg.n_steps == 9
 
 
-def test_inadmissible_weight_slope_is_config_error():
+def test_inadmissible_weight_slope_is_config_error(tmp_path):
     cfg = replace(ExperimentConfig(), a=0.0, b=10.0, omega_lo=2.0, omega_hi=8.0,
                   x0=5.0, s=1.0, tau=0.01)
     with pytest.raises(ConfigError) as err:
         validate(cfg)
     assert err.value.field == "s"
+    # valid on their own, but the convexity constants reject them
+    for field, value in (("s", 0.0), ("hbar", 0.006), ("hbar", 1e-300)):
+        cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path), **{field: value}))
+        with pytest.raises(ConfigError) as err:
+            run_convexity(cfg, n_seeds=2)
+        assert err.value.field == field
 
 
 def test_omega_without_grid_node_is_config_error(tmp_path):
@@ -236,8 +260,13 @@ def test_cli_exit_codes(tmp_path):
     # malformed penalty list and invalid fields are config errors
     assert main(["table1", "--epsilon", "zero"]) == EXIT_CONFIG
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"omega_lo": 0.9}))
-    assert main(["uncontrolled", "--config", str(cfg)]) == EXIT_CONFIG
+    for bad in ({"omega_lo": 0.9}, {"nx": "25"}, {"nx": 25.5}, {"seed": "a"},
+                {"epsilons": 0.01}, {"epsilons": ["x"]}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["uncontrolled", "--config", str(cfg)]) == EXIT_CONFIG
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert err.value.field == next(iter(bad))
     # an iteration cap of 1 cannot converge: solver failure
     capped = tmp_path / "capped.json"
     capped.write_text(json.dumps({"max_iter": 1, "epsilons": [1e-4]}))

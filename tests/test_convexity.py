@@ -114,13 +114,16 @@ def test_constants_calibrated_pair_consistent():
 def test_constants_reject_degenerate():
     grid = Grid(0.0, 1.0, 25)
     szero = WeightParams(x0=0.5, s=0.0, hbar=0.01, t_final=0.02)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         convexity_constants(szero, grid, ell=2.0, t1=0.004, t2=0.012, t3=0.02)
-    with pytest.raises(ValueError):
+    assert err.value.field == "s"
+    with pytest.raises(ValueError) as err:
         convexity_constants(WP, grid, ell=1.0, t1=0.004, t2=0.012, t3=0.02)
-    with pytest.raises(ValueError):
+    assert err.value.field == "ell"
+    with pytest.raises(ValueError) as err:
         # 2 ell hbar must stay below the horizon for the calibrated pair
         convexity_constants(WP, grid, ell=2.0, t1=0.004, t2=0.012, t3=0.02)
+    assert err.value.field == "hbar"
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -33,12 +33,16 @@ def _cfg(eps, **kw):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         HumConfig(epsilon=0.0, tau=0.01, t_final=0.02)
+    assert err.value.field == "epsilons"
     with pytest.raises(ValueError):
         HumConfig(epsilon=1.0, tau=0.03, t_final=0.02)
     with pytest.raises(ValueError):
         HumConfig(epsilon=1.0, tau=0.01, t_final=0.02, tol=1.5)
+    with pytest.raises(ValueError) as err:
+        HumConfig(epsilon=1.0, tau=0.01, t_final=0.02, tol=2)
+    assert err.value.field == "tol"
     with pytest.raises(ValueError):
         HumConfig(epsilon=1.0, tau=0.01, t_final=0.02, kappa=-1.0)
     # tau == t_final stays constructible (degenerate Gramian checks)

@@ -14,8 +14,9 @@ from oracles import dense_generator
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         Grid(0.0, 1.0, 1)
+    assert err.value.field == "nx"
     with pytest.raises(ValueError):
         Grid(1.0, 0.0, 10)
     g = Grid(0.0, 1.0, 25)
