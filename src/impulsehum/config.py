@@ -67,13 +67,19 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    # JSON's NaN and Infinity parse to floats; every float field needs a
+    # finite value.
+    return _is_number(v) and -math.inf < v < math.inf
+
+
 # What a JSON value must be to fill a field, keyed by the field's annotation.
 _ACCEPTS = {
-    "float": ("a number", _is_number),
+    "float": ("a finite number", _is_finite),
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
     "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple": ("a list of numbers",
-              lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v))),
+    "tuple": ("a list of finite numbers",
+              lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite, v))),
 }
 
 
@@ -171,6 +177,11 @@ def initial_state(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:
                 f"file holds {u.shape[0] if u.ndim == 1 else 'malformed'} values, "
                 f"expected {grid.n_dof} (one per node)",
             )
+        if not np.all(np.isfinite(u)):
+            raise ConfigError("psi0_path", "node values must be finite")
+    for name, value in (("boundary_c", cfg.boundary_c), ("boundary_d", cfg.boundary_d)):
+        if not math.isfinite(value):
+            raise ConfigError(name, f"must be finite, got {value}")
     u = np.asarray(u, dtype=float).copy()
     u[0] = cfg.boundary_c
     u[-1] = cfg.boundary_d

@@ -169,23 +169,35 @@ class ConvexityReport:
     freq_oracle: np.ndarray
 
 
-def weighted_state(u: State, t: float, wp: WeightParams, d: Discretization) -> State:
-    """F = U exp(Phi(., t) / 2) evaluated nodewise (traces use x = a, b)."""
+def weighted_state(
+    u: State, t: float | np.ndarray, wp: WeightParams, d: Discretization
+) -> State:
+    """F = U exp(Phi(., t) / 2) evaluated nodewise (traces use x = a, b).
+
+    ``u`` is one state at time ``t``, or one state per row with ``t`` the
+    matching array of times."""
+    t = np.asarray(t, dtype=float)[..., None]
     return np.asarray(u, dtype=float) * np.exp(0.5 * wp.value(d.grid.nodes, t))
 
 
-def _frequency_direct(f: State, t: float, wp: WeightParams, d: Discretization) -> float:
+def _frequency_direct(
+    f: np.ndarray, times: np.ndarray, nf2: np.ndarray, wp: WeightParams, d: Discretization
+) -> np.ndarray:
+    """Direct frequency of each row of ``f`` (weighted states at ``times``,
+    with squared norms ``nf2``).  The reductions run row by row, so each
+    value equals the one computed from that row alone."""
     x = d.grid.nodes
     dx = d.grid.dx
-    interior = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx**2 + wp.eta(x[1:-1], t) * f[1:-1]
+    interior = ((f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / dx**2
+                + wp.eta(x[1:-1], times[:, None]) * f[:, 1:-1])
     # Second-order one-sided first derivatives at the two boundary rows.
-    dfa = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    dfb = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
-    row_a = dfa + 0.5 * wp.time_deriv(x[0], t) * f[0]
-    row_b = -dfb + 0.5 * wp.time_deriv(x[-1], t) * f[-1]
-    num = -(dx * np.dot(interior, f[1:-1]) + row_a * f[0] + row_b * f[-1])
-    den = inner(f, f, d)
-    return num / den
+    dfa = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * dx)
+    dfb = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * dx)
+    row_a = dfa + 0.5 * wp.time_deriv(x[0], times) * f[:, 0]
+    row_b = -dfb + 0.5 * wp.time_deriv(x[-1], times) * f[:, -1]
+    dots = np.array([np.dot(r, g) for r, g in zip(interior, f[:, 1:-1])])
+    num = -(dx * dots + row_a * f[:, 0] + row_b * f[:, -1])
+    return num / nf2
 
 
 def frequency(traj: Trajectory, wp: WeightParams, d: Discretization) -> ConvexityReport:
@@ -199,16 +211,14 @@ def frequency(traj: Trajectory, wp: WeightParams, d: Discretization) -> Convexit
     """
     if traj.impulse_index is not None:
         raise ValueError("frequency expects an uncontrolled trajectory")
-    n_t = len(traj.times)
-    norm_f = np.empty(n_t)
-    direct = np.empty(n_t)
-    for j in range(n_t):
-        f = weighted_state(traj.states[j], traj.times[j], wp, d)
-        nf2 = inner(f, f, d)
-        if nf2 <= 0.0:
-            raise ValueError(f"frequency undefined: |F| vanishes at t={traj.times[j]}")
-        norm_f[j] = np.sqrt(nf2)
-        direct[j] = _frequency_direct(f, traj.times[j], wp, d)
+    f = weighted_state(traj.states, traj.times, wp, d)
+    # |F|^2 per snapshot, each the weighted inner product of its own row.
+    nf2 = np.array([np.dot(r, d.w) for r in f * f])
+    vanished = np.flatnonzero(nf2 <= 0.0)
+    if vanished.size:
+        raise ValueError(f"frequency undefined: |F| vanishes at t={traj.times[vanished[0]]}")
+    norm_f = np.sqrt(nf2)
+    direct = _frequency_direct(f, traj.times, nf2, wp, d)
     oracle = -0.5 * np.gradient(np.log(norm_f**2), traj.times)
     return ConvexityReport(
         times=traj.times.copy(), norm_f=norm_f, freq_direct=direct, freq_oracle=oracle

@@ -82,27 +82,54 @@ def _step_factor(d: Discretization, dt: float, theta: float) -> np.ndarray:
 
 
 def _make_step(
-    d: Discretization, dt: float, theta: float, ndim: int
+    d: Discretization, dt: float, theta: float, shape: tuple[int, ...]
 ) -> Callable[[State], State]:
-    """The one-step map on states of ``ndim`` dimensions (a block holds one
-    state per column).
+    """The one-step map on states of ``shape``: one state, or a block of
+    shape (n_dof, m) holding one state per column.
 
-    The right-hand side is formed with the same operations in the same order
-    for every column, and LAPACK's pbtrs solves a block column by column, so
-    each column is bit-identical to stepping it alone.
+    A block's right-hand side is formed on the block read as one
+    column-major vector, with the band coefficients tiled once per column.
+    Each entry is formed by the same operations in the same order as when
+    its column is stepped alone (the entries at column seams also get a
+    -0.0 addend, which changes no bit), and one pbtrs call solves all
+    columns, so each column is bit-identical to stepping it alone, signed
+    zeros included.
     """
     factor = _step_factor(d, dt, theta)
     (pbtrs,) = get_lapack_funcs(("pbtrs",), (factor,))
     c = (1.0 - theta) * dt
-    col = (-1,) + (1,) * (ndim - 1)
-    diag = (d.w + c * d.k_main).reshape(col)
-    off = (c * d.k_off).reshape(col)
+    diag = d.w + c * d.k_main
+    off = c * d.k_off
+    block = len(shape) == 2
+    if block:
+        n, m = shape
+        diag = np.tile(diag, m)
+        off = np.tile(np.append(off, 0.0), m)[:-1]
+        tmp = np.empty(n * m - 1)
+        # Entry p of tmp couples vector entries p and p + 1.  At the m - 1
+        # seams between columns it is set to -0.0, and adding -0.0 leaves
+        # any float bitwise unchanged (a zero coupling's +0.0 would turn a
+        # -0.0 entry into +0.0).  This is cheaper than a masked np.add.
+        seams = tmp[n - 1::n]
 
     def step(u: State) -> State:
-        rhs = diag * u
-        if c != 0.0:
-            rhs[:-1] += off * u[1:]
-            rhs[1:] += off * u[:-1]
+        if block:
+            v = u.ravel(order="F")
+            flat = diag * v
+            if c != 0.0:
+                lo, hi = flat[:-1], flat[1:]
+                np.multiply(off, v[1:], tmp)
+                seams.fill(-0.0)
+                np.add(lo, tmp, lo)
+                np.multiply(off, v[:-1], tmp)
+                seams.fill(-0.0)
+                np.add(hi, tmp, hi)
+            rhs = flat.reshape(shape, order="F")
+        else:
+            rhs = diag * u
+            if c != 0.0:
+                rhs[:-1] += off * u[1:]
+                rhs[1:] += off * u[:-1]
         x, info = pbtrs(factor, rhs, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
@@ -181,7 +208,7 @@ def _march(
     itself), and nothing else.  With ``k`` set, ``jump`` is added right
     after step k and both sides of it are recorded.
     """
-    step = _make_step(d, dt, theta, u.ndim)
+    step = _make_step(d, dt, theta, u.shape)
     times, states = [], []
     if 0 in keep:
         times.append(0.0)

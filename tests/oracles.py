@@ -3,9 +3,10 @@
 These deliberately avoid the library's time steppers: the semigroup and the
 theta-scheme propagators are built from a dense symmetric eigendecomposition,
 quadrature uses scipy, and derivatives come from central differences, so each
-check pits two separate routes against each other.  The one exception is
+check pits two separate routes against each other.  The exceptions are
 ``reference_march``, a plain stepping loop through scipy's public banded
-Cholesky routines that the library's stepper must reproduce bit for bit.
+Cholesky routines, and ``reference_frequency``, a plain per-snapshot loop
+of the frequency quotient; the library must reproduce both bit for bit.
 """
 
 from math import isclose
@@ -43,6 +44,34 @@ def reference_march(u, d, n, dt, theta, k=None, jump=None):
             u = u + jump
         states.append(u)
     return np.array(states), pre
+
+
+def reference_frequency(traj, wp, d):
+    """|F|, the direct frequency and the norm-decay frequency along ``traj``,
+    one snapshot at a time.
+
+    Each snapshot is weighted, F = U exp(Phi / 2), and its quotient is formed
+    from the interior stencil and one-sided boundary derivatives over the
+    weighted product sum_i w_i F_i^2.  Raises ValueError when |F| vanishes.
+    """
+    x, dx = d.grid.nodes, d.grid.dx
+    n_t = len(traj.times)
+    norm_f, direct = np.empty(n_t), np.empty(n_t)
+    for j, t in enumerate(traj.times):
+        f = traj.states[j] * np.exp(0.5 * wp.value(x, t))
+        nf2 = float(np.dot(f * f, d.w))
+        if nf2 <= 0.0:
+            raise ValueError(f"frequency undefined: |F| vanishes at t={t}")
+        norm_f[j] = np.sqrt(nf2)
+        interior = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx**2 + wp.eta(x[1:-1], t) * f[1:-1]
+        dfa = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
+        dfb = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+        row_a = dfa + 0.5 * wp.time_deriv(x[0], t) * f[0]
+        row_b = -dfb + 0.5 * wp.time_deriv(x[-1], t) * f[-1]
+        num = -(dx * np.dot(interior, f[1:-1]) + row_a * f[0] + row_b * f[-1])
+        direct[j] = num / nf2
+    oracle = -0.5 * np.gradient(np.log(norm_f**2), traj.times)
+    return norm_f, direct, oracle
 
 
 def dense_generator(d):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ FIELD_CASES = [
     ("seed", -1, "seed"),
     ("psi0_kind", "nodes-from-file", "psi0_path"),
     ("psi0_width", 0.0, "psi0_width"),
+    # non-finite numbers, which JSON spells NaN and Infinity
+    ("a", float("nan"), "a"),
+    ("t_final", float("inf"), "t_final"),
+    ("ell", float("inf"), "ell"),
+    ("kappa", float("inf"), "kappa"),
+    ("psi0_amplitude", float("inf"), "psi0_amplitude"),
+    ("boundary_c", float("inf"), "boundary_c"),
+    ("boundary_d", float("-inf"), "boundary_d"),
+    ("epsilons", (1e-2, float("nan")), "epsilons"),
 ]
 
 
@@ -65,9 +75,15 @@ FIELD_CASES = [
          for i, (f, v, _) in enumerate(FIELD_CASES)],
 )
 def test_validation_names_offending_field(field, value, expected_field):
-    cfg = replace(ExperimentConfig(), **{field: value})
+    # validate takes a config built in Python; non-finite numbers are the
+    # loader's to reject, and every value goes through the loader as well.
+    if all(math.isfinite(v) for v in np.ravel(value) if isinstance(v, float)):
+        cfg = replace(ExperimentConfig(), **{field: value})
+        with pytest.raises(ConfigError) as err:
+            validate(cfg)
+        assert err.value.field == expected_field
     with pytest.raises(ConfigError) as err:
-        validate(cfg)
+        load_config(None, {field: value})
     assert err.value.field == expected_field
 
 
@@ -261,12 +277,29 @@ def test_cli_exit_codes(tmp_path):
     assert main(["table1", "--epsilon", "zero"]) == EXIT_CONFIG
     cfg = tmp_path / "bad.json"
     for bad in ({"omega_lo": 0.9}, {"nx": "25"}, {"nx": 25.5}, {"seed": "a"},
-                {"epsilons": 0.01}, {"epsilons": ["x"]}):
+                {"epsilons": 0.01}, {"epsilons": ["x"]}, {"boundary_c": math.inf},
+                {"psi0_amplitude": math.inf}, {"a": math.nan}, {"t_final": math.inf},
+                {"epsilons": [1e-2, -math.inf]}):
         cfg.write_text(json.dumps(bad))
         assert main(["uncontrolled", "--config", str(cfg)]) == EXIT_CONFIG
         with pytest.raises(ConfigError) as err:
             load_config(cfg)
         assert err.value.field == next(iter(bad))
+    # non-finite node values are the node file's fault, a non-finite trace
+    # (set in Python, past the loader) its own field's
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.0\n" * 13 + "nan\n" + "0.0\n" * 12)
+    cfg.write_text(json.dumps({"psi0_kind": "nodes-from-file", "psi0_path": str(nodes)}))
+    assert main(["uncontrolled", "--config", str(cfg), "--out", str(tmp_path / "e")]) == EXIT_CONFIG
+    filecfg = load_config(cfg)
+    grid = make_grid(filecfg)
+    with pytest.raises(ConfigError) as err:
+        initial_state(filecfg, grid)
+    assert err.value.field == "psi0_path"
+    for name in ("boundary_c", "boundary_d"):
+        with pytest.raises(ConfigError) as err:
+            initial_state(validate(replace(ExperimentConfig(), **{name: math.nan})), grid)
+        assert err.value.field == name
     # an iteration cap of 1 cannot converge: solver failure
     capped = tmp_path / "capped.json"
     capped.write_text(json.dumps({"max_iter": 1, "epsilons": [1e-4]}))
@@ -279,6 +312,10 @@ def test_cli_convexity_zero_state_is_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"psi0_amplitude": 0.0}))
     assert main(["convexity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "psi0_kind" in capsys.readouterr().err
+    zero = validate(replace(ExperimentConfig(), psi0_amplitude=0.0, out_dir=str(tmp_path)))
+    with pytest.raises(ConfigError, match="vanishes") as err:
+        run_convexity(zero, n_seeds=10)
+    assert err.value.field == "psi0_kind"
 
 
 def test_cli_summary_byte_identical(tmp_path):

@@ -7,6 +7,7 @@ from impulsehum import (
     ObservabilitySample,
     SplitMix64,
     TimeScheme,
+    Trajectory,
     WeightParams,
     admissible_s_bound,
     bound_satisfied,
@@ -28,7 +29,7 @@ from impulsehum import (
     write_frequency_csv,
 )
 
-from oracles import time_weight_quadrature
+from oracles import reference_frequency, time_weight_quadrature
 
 WP = WeightParams(x0=0.5, s=0.9, hbar=0.01, t_final=0.02)
 
@@ -191,8 +192,39 @@ def test_frequency_rejects_bad_input(setup25):
     with pytest.raises(ValueError):
         frequency(traj, WP, d)
     zero_traj = evolve_trajectory(np.zeros(26), d, scheme)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\|F\| vanishes at t=0.0"):
         frequency(zero_traj, WP, d)
+
+
+@pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
+@pytest.mark.parametrize("nx", [2, 25, 400])
+def test_frequency_matches_reference_loop(nx, method):
+    d = build_discretization(Grid(0.0, 1.0, nx))
+    scheme = TimeScheme(0.02, 200, method)
+    u0 = random_smooth_state(d.grid, SplitMix64(nx))
+    for s in (0.0, 0.9):
+        wp = WeightParams(x0=0.5, s=s, hbar=0.004, t_final=0.02)
+        for stride in (1, 7):
+            traj = evolve_trajectory(u0, d, scheme, stride=stride)
+            rep = frequency(traj, wp, d)
+            norm_f, direct, oracle = reference_frequency(traj, wp, d)
+            assert np.array_equal(rep.norm_f, norm_f)
+            assert np.array_equal(rep.freq_direct, direct)
+            assert np.array_equal(rep.freq_oracle, oracle)
+
+
+def test_frequency_names_first_vanishing_snapshot(setup25):
+    _, d, _, scheme, psi0 = setup25
+    traj = evolve_trajectory(psi0, d, scheme, stride=20)
+    states = traj.states.copy()
+    states[3:5] = 0.0
+    vanishing = Trajectory(times=traj.times, states=states)
+    with pytest.raises(ValueError, match="vanishes") as ours:
+        frequency(vanishing, WP, d)
+    with pytest.raises(ValueError) as ref:
+        reference_frequency(vanishing, WP, d)
+    assert str(ours.value) == str(ref.value)
+    assert f"t={traj.times[3]}" in str(ours.value)
 
 
 def test_frequency_csv_round_trip(tmp_path, setup25):

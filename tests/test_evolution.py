@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulsehum import (
     Grid,
@@ -121,6 +122,63 @@ def test_block_columns_match_single_evolve(method, setup25):
         for j in range(block.shape[1]):
             assert np.array_equal(out[:, j], evolve(block[:, j], t, d, scheme))
     assert not np.shares_memory(evolve(block, 0.0, d, scheme), block)
+
+
+def _column(kind, grid, rng):
+    """One block column: random, +0.0, -0.0, or random outside a subdomain
+    mask (so its zeros carry the signs of the masked-out values)."""
+    n = grid.n_dof
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "negative_zero":
+        return np.full(n, -0.0)
+    u = rng.standard_normal(n)
+    return subdomain_mask(grid, 0.2, 0.8).mask * u if kind == "masked" else u
+
+
+def _assert_columns_bytes_equal(block, spans, d, scheme):
+    for t in spans:
+        out = evolve(block, t, d, scheme)
+        for j in range(block.shape[1]):
+            alone = evolve(block[:, j].copy(), t, d, scheme)
+            assert out[:, j].tobytes() == alone.tobytes(), (t, j)
+
+
+_KINDS = ("random", "zero", "negative_zero", "masked")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    nx=st.integers(2, 200),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=8),
+    method=st.sampled_from(["crank_nicolson", "backward_euler"]),
+    n_steps=st.integers(1, 40),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_columns_bytes_equal_single_columns(nx, kinds, method, n_steps, fractions, seed):
+    # Off-grid spans shrink the step, so the spans fall into several step
+    # sizes; signed zeros must survive the block step exactly.
+    grid = Grid(0.0, 1.0, nx)
+    rng = np.random.default_rng(seed)
+    block = np.column_stack([_column(k, grid, rng) for k in kinds])
+    scheme = TimeScheme(0.02, n_steps, method)
+    _assert_columns_bytes_equal(block, [f * 0.02 for f in fractions],
+                                build_discretization(grid), scheme)
+
+
+def test_block_columns_bytes_equal_negative_cn_diagonal():
+    # At nx = 400 the CN right-hand side has a negative diagonal, so
+    # diag * (+0.0) is -0.0 and a zero column's signs depend on every add;
+    # a sign flipped at a column's end shows after one step.
+    grid = Grid(0.0, 1.0, 400)
+    d = build_discretization(grid)
+    scheme = TimeScheme(0.02, 200, "crank_nicolson")
+    assert np.min(d.w + 0.5 * scheme.dt * d.k_main) < 0.0
+    rng = np.random.default_rng(400)
+    kinds = ("random", "negative_zero", "zero", "masked", "negative_zero", "random")
+    block = np.column_stack([_column(k, grid, rng) for k in kinds])
+    _assert_columns_bytes_equal(block, (scheme.dt, 0.001, 0.01005, 0.02), d, scheme)
 
 
 @pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
