@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -73,7 +73,7 @@ def _is_finite(v) -> bool:
     return _is_number(v) and -math.inf < v < math.inf
 
 
-# What a JSON value must be to fill a field, keyed by the field's annotation.
+# What a value must be to fill a field, keyed by the field's annotation.
 _ACCEPTS = {
     "float": ("a finite number", _is_finite),
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
@@ -85,8 +85,15 @@ _ACCEPTS = {
 
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Validate every field; returns a copy with the step count aligned so
-    the impulse time sits exactly on the time grid.  A field is checked by
-    the object that uses it; only fields no object takes are checked here."""
+    the impulse time sits exactly on the time grid.  Every field must have
+    its annotation's type (floats finite); beyond that a field is checked
+    by the object that uses it, and here only if no object takes it."""
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        kind = field.type.removeprefix("Optional[").removesuffix("]")
+        what, accepts = _ACCEPTS[kind]
+        if not (value is None and kind != field.type) and not accepts(value):
+            raise ConfigError(field.name, f"expected {what}, got {value!r}")
     grid = make_grid(cfg)
     make_mask(cfg, grid)
     aligned = make_scheme(cfg).with_impulse_alignment(cfg.tau)
@@ -99,8 +106,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if not cfg.epsilons:
         raise ConfigError("epsilons", "must not be empty")
     for eps in cfg.epsilons:
-        HumConfig(eps, cfg.tau, cfg.t_final, cfg.tol, cfg.max_iter, cfg.kappa)
-    check_admissible(WeightParams(x0=cfg.x0, s=cfg.s, hbar=cfg.hbar, t_final=cfg.t_final), grid)
+        make_hum_config(cfg, eps)
+    check_admissible(make_weight(cfg), grid)
     if not cfg.ell > 1.0:
         raise ConfigError("ell", f"must exceed 1, got {cfg.ell}")
     if cfg.snapshot_stride < 1:
@@ -125,19 +132,12 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
             raise ConfigError("config", f"{path} must hold a JSON object")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
-    fields = ExperimentConfig.__dataclass_fields__
-    unknown = sorted(set(data) - set(fields))
+    unknown = sorted(set(data) - set(ExperimentConfig.__dataclass_fields__))
     if unknown:
         raise ConfigError(unknown[0], "unknown field")
-    for name, value in data.items():
-        hint = fields[name].type
-        kind = hint.removeprefix("Optional[").removesuffix("]")
-        what, accepts = _ACCEPTS[kind]
-        if not (value is None and kind != hint) and not accepts(value):
-            raise ConfigError(name, f"expected {what}, got {value!r}")
-    if "epsilons" in data:
-        data["epsilons"] = tuple(float(e) for e in data["epsilons"])
-    return validate(ExperimentConfig(**data))
+    cfg = validate(ExperimentConfig(**data))
+    # A JSON list of numbers becomes a tuple of floats, as in the defaults.
+    return replace(cfg, epsilons=tuple(float(e) for e in cfg.epsilons))
 
 
 def make_grid(cfg: ExperimentConfig) -> Grid:
@@ -150,6 +150,14 @@ def make_mask(cfg: ExperimentConfig, grid: Grid) -> SubdomainMask:
 
 def make_scheme(cfg: ExperimentConfig) -> TimeScheme:
     return TimeScheme(cfg.t_final, cfg.n_steps, cfg.method)
+
+
+def make_hum_config(cfg: ExperimentConfig, epsilon: float) -> HumConfig:
+    return HumConfig(epsilon, cfg.tau, cfg.t_final, cfg.tol, cfg.max_iter, cfg.kappa)
+
+
+def make_weight(cfg: ExperimentConfig) -> WeightParams:
+    return WeightParams(x0=cfg.x0, s=cfg.s, hbar=cfg.hbar, t_final=cfg.t_final)
 
 
 def initial_state(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.optimize import lsq_linear
 
 from .evolution import TimeScheme, Trajectory, _evolve_to, _write_csv, evolve, steps_for
 from .mesh import (
-    ConfigError, Discretization, Grid, State, SubdomainMask, inner, norm, subdomain_norm,
+    ConfigError, Discretization, Grid, State, SubdomainMask, inner, subdomain_norm,
 )
 
 
@@ -55,9 +55,6 @@ class WeightParams:
 
     def time_deriv(self, x, t):
         return -self.s * (x - self.x0) ** 2 / (4.0 * self.upsilon(t) ** 2)
-
-    def grad_xx(self, t):
-        return -self.s / (2.0 * self.upsilon(t))
 
     def eta(self, x, t):
         """Zeroth-order coefficient of the symmetric part,
@@ -398,28 +395,30 @@ def epsilon_split_slack(
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     final = evolve(theta0, scheme.t_final, d, scheme)
-    return _split_slack(theta0, final, epsilon, fit, d, mask, scheme.t_final)
+    return _split_slacks([theta0], [final], [epsilon], fit, d, mask, scheme.t_final)[0]
 
 
-def _split_slack(
-    theta0: State,
-    final: State,
-    epsilon: float,
+def _split_slacks(
+    theta0s: Sequence[State],
+    finals: Sequence[State],
+    epsilons: Sequence[float],
     fit: ObservabilityFit,
     d: Discretization,
     mask: SubdomainMask,
     t_final: float,
-) -> float:
-    """``epsilon_split_slack`` for a free flow whose state at ``t_final`` is
-    already known."""
+) -> list[float]:
+    """``epsilon_split_slack`` for free flows whose states at ``t_final``
+    are already known, by epsilon and then by flow."""
     m1, m2, delta = split_constants(fit)
-    lhs = inner(final, final, d)
-    with np.errstate(over="ignore"):
-        coef = (m1 * np.exp(m2 / t_final) / epsilon**delta) ** 2
-    rhs = coef * subdomain_norm(final, mask, d) ** 2 + epsilon**2 * inner(
-        theta0, theta0, d
-    )
-    return float(rhs - lhs)
+    norms = [(inner(v, v, d), subdomain_norm(v, mask, d) ** 2, inner(u, u, d))
+             for u, v in zip(theta0s, finals)]
+    slacks = []
+    for epsilon in epsilons:
+        with np.errstate(over="ignore"):
+            coef = (m1 * np.exp(m2 / t_final) / epsilon**delta) ** 2
+        slacks += [float(coef * observed + epsilon**2 * start - lhs)
+                   for lhs, observed, start in norms]
+    return slacks
 
 
 def write_frequency_csv(report: ConvexityReport, path) -> None:

@@ -63,10 +63,15 @@ class TimeScheme:
         q = frac.denominator
         n = ceil(self.n_steps / q) * q
         scheme = TimeScheme(self.t_final, n, self.method)
-        k = round(tau / scheme.dt)
-        if k < 1 or not isclose(k * scheme.dt, tau, rel_tol=1e-9, abs_tol=1e-12):
+        if _grid_step(tau, scheme.dt) is None:
             raise ConfigError("tau", f"{tau} cannot be aligned to the time grid")
         return scheme
+
+
+def _grid_step(t: float, dt: float) -> Optional[int]:
+    """The step count k >= 1 with k dt = t up to roundoff, else None."""
+    k = round(t / dt)
+    return k if k >= 1 and isclose(k * dt, t, rel_tol=1e-9, abs_tol=1e-12) else None
 
 
 def _step_factor(d: Discretization, dt: float, theta: float) -> np.ndarray:
@@ -237,7 +242,21 @@ def _march(
 
 def _strided(n: int, stride: int) -> frozenset:
     """Step counts 0, stride, 2 stride, ... and n."""
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     return frozenset(range(0, n + 1, stride)) | {n}
+
+
+def _check_state(u: State, d: Discretization, name: str, block: bool = False) -> np.ndarray:
+    """``u`` as a float array, which must hold one state of shape (n_dof,)
+    or, with ``block``, also (n_dof, m) with m >= 1, one state per column;
+    every entry must be finite."""
+    u = np.asarray(u, dtype=float)
+    if not (block and u.ndim == 2 and u.shape[0] == d.grid.n_dof and u.shape[1] > 0):
+        u = _check_length(u, d, name)
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return u
 
 
 def _evolve_to(
@@ -251,11 +270,7 @@ def _evolve_to(
     only their step counts, so each result equals evolving to that target
     alone, bit for bit.
     """
-    u = np.array(u0, dtype=float)
-    if u.ndim != 2 or u.shape[0] != d.grid.n_dof:
-        u = _check_length(u, d, "u0")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial state contains non-finite entries")
+    u = _check_state(u0, d, "u0", block=True)
     counts: dict[float, set] = {}
     for n, dt in targets:
         if n > 0:
@@ -280,11 +295,7 @@ def evolve_trajectory(
     u0: State, d: Discretization, scheme: TimeScheme, stride: int = 1
 ) -> Trajectory:
     """Run over [0, t_final] recording every ``stride``-th step (and the ends)."""
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
-    u = _check_length(u0, d, "u0")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial state contains non-finite entries")
+    u = _check_state(u0, d, "u0")
     n = scheme.n_steps
     return _march(u, d, n, scheme.dt, scheme.theta, _strided(n, stride))
 
@@ -305,20 +316,16 @@ def solve_impulsive(
     By linearity the final state equals evolve(psi0, t_final) +
     evolve(mask * h, t_final - tau).
     """
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
     if not 0.0 < tau < scheme.t_final:
         raise ValueError(f"tau must lie in (0, {scheme.t_final}), got {tau}")
     dt = scheme.dt
-    k = round(tau / dt)
-    if k < 1 or not isclose(k * dt, tau, rel_tol=1e-9, abs_tol=1e-12):
+    k = _grid_step(tau, dt)
+    if k is None:
         raise ValueError(
             f"tau={tau} is off the time grid (dt={dt}); "
             "use TimeScheme.with_impulse_alignment"
         )
-    u = _check_length(psi0, d, "psi0")
-    h = _check_length(h, d, "h")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(h))):
-        raise ValueError("initial state or control contains non-finite entries")
+    u = _check_state(psi0, d, "psi0")
+    h = _check_state(h, d, "h")
     n = scheme.n_steps
     return _march(u, d, n, dt, scheme.theta, _strided(n, stride), k, mask.mask * h)

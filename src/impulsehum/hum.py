@@ -387,10 +387,15 @@ def solution_to_dict(sol: HumSolution) -> dict:
     }
 
 
-def write_solution_json(sol: HumSolution, path) -> None:
+def _write_json(obj: dict, path) -> None:
+    """Every JSON artifact's format; ``scenarios`` binds it as ``write_json``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_dict(sol), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_solution_json(sol: HumSolution, path) -> None:
+    _write_json(solution_to_dict(sol), path)
 
 
 def write_state_csv(x: np.ndarray, values: np.ndarray, path) -> None:

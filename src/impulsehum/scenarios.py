@@ -9,7 +9,6 @@ reruns stay byte-identical.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,14 +22,16 @@ from .config import (
     ExperimentConfig,
     initial_state,
     make_grid,
+    make_hum_config,
     make_mask,
     make_scheme,
+    make_weight,
 )
 from .evolution import TimeScheme, _evolve_to, evolve_trajectory, solve_impulsive, steps_for
 from .hum import (
     CgBreakdownError,
-    HumConfig,
     HumSolution,
+    _write_json as write_json,  # one JSON format; traced under this name
     cg_solve,
     solution_to_dict,
     write_solution_json,
@@ -64,26 +65,6 @@ class RunSummary:
     wall_time: float
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
-def write_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _scenario_dir(cfg: ExperimentConfig, scenario: str) -> Path:
     out = Path(cfg.out_dir) / scenario
     out.mkdir(parents=True, exist_ok=True)
@@ -97,17 +78,6 @@ def _setup(cfg: ExperimentConfig):
     scheme = make_scheme(cfg)
     psi0 = initial_state(cfg, grid)
     return grid, d, mask, scheme, psi0
-
-
-def _hum_config(cfg: ExperimentConfig, epsilon: float) -> HumConfig:
-    return HumConfig(
-        epsilon=epsilon,
-        tau=cfg.tau,
-        t_final=cfg.t_final,
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        kappa=cfg.kappa,
-    )
 
 
 def _row(sol: HumSolution) -> Table1Row:
@@ -149,7 +119,7 @@ def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, H
     """One impulse-controlled solve at the given penalty."""
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
-    sol = cg_solve(psi0, _hum_config(cfg, epsilon), d, mask, scheme)
+    sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme)
     _write_cell(_scenario_dir(cfg, "controlled"), cfg, d, mask, scheme, psi0, sol)
     row = _row(sol)
     fields = {**row.to_dict(), "initial_norm": sol.initial_norm}
@@ -163,7 +133,7 @@ def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
     """
     for eps in sorted(cfg.epsilons, reverse=True):
         try:
-            sol = cg_solve(psi0, _hum_config(cfg, eps), d, mask, scheme)
+            sol = cg_solve(psi0, make_hum_config(cfg, eps), d, mask, scheme)
         except CgBreakdownError as exc:
             yield Table1Row(eps, 0, float("nan"), float("nan"), False, str(exc)), None
             continue
@@ -203,7 +173,7 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     """Frequency cross-check, three-point ensemble, and observability fit."""
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
-    wp = cvx.WeightParams(x0=cfg.x0, s=cfg.s, hbar=cfg.hbar, t_final=cfg.t_final)
+    wp = make_weight(cfg)
     t3 = cfg.t_final
     t2 = cfg.t_final - cfg.ell * cfg.hbar
     t1 = cfg.t_final - 2.0 * cfg.ell * cfg.hbar
@@ -234,22 +204,22 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
                                constants.m_three_point, constants.d_three_point, wp, d, scheme)
               for i in range(n_seeds)]
     finals = [(h, block) for (h, _), block in zip(horizons, at[3:])]
+    initials = [norm(u0, d) for u0 in states]
     samples = [
         cvx.ObservabilitySample(
             t_final=horizon,
-            initial=norm(u0, d),
+            initial=initial,
             observed=cvx.subdomain_norm(final[:, i], mask, d),
             final=norm(final[:, i], d),
         )
-        for i, u0 in enumerate(states)
+        for i, initial in enumerate(initials)
         for horizon, final in finals
     ]
     fit = cvx.fit_observability(samples)
     # The 1x horizon runs the configured scheme, so its block already holds
     # each state at t_final.
-    at_t_final = at[3]
-    split_slacks = [cvx._split_slack(u0, at_t_final[:, i], eps, fit, d, mask, cfg.t_final)
-                    for eps in (1.0, 0.1, 0.01) for i, u0 in enumerate(states[:5])]
+    split_slacks = cvx._split_slacks(states[:5], at[3][:, :5].T, (1.0, 0.1, 0.01), fit, d,
+                                     mask, cfg.t_final)
 
     out = _scenario_dir(cfg, "convexity")
     cvx.write_frequency_csv(freq, out / "frequency.csv")

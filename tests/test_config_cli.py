@@ -64,6 +64,7 @@ FIELD_CASES = [
     ("boundary_c", float("inf"), "boundary_c"),
     ("boundary_d", float("-inf"), "boundary_d"),
     ("epsilons", (1e-2, float("nan")), "epsilons"),
+    ("psi0_width", float("inf"), "psi0_width"),
 ]
 
 
@@ -75,13 +76,11 @@ FIELD_CASES = [
          for i, (f, v, _) in enumerate(FIELD_CASES)],
 )
 def test_validation_names_offending_field(field, value, expected_field):
-    # validate takes a config built in Python; non-finite numbers are the
-    # loader's to reject, and every value goes through the loader as well.
-    if all(math.isfinite(v) for v in np.ravel(value) if isinstance(v, float)):
-        cfg = replace(ExperimentConfig(), **{field: value})
-        with pytest.raises(ConfigError) as err:
-            validate(cfg)
-        assert err.value.field == expected_field
+    # Every value is set both on a config built in Python and through the
+    # JSON loader.
+    with pytest.raises(ConfigError) as err:
+        validate(replace(ExperimentConfig(), **{field: value}))
+    assert err.value.field == expected_field
     with pytest.raises(ConfigError) as err:
         load_config(None, {field: value})
     assert err.value.field == expected_field
@@ -286,7 +285,7 @@ def test_cli_exit_codes(tmp_path):
             load_config(cfg)
         assert err.value.field == next(iter(bad))
     # non-finite node values are the node file's fault, a non-finite trace
-    # (set in Python, past the loader) its own field's
+    # (set in Python, past validate) its own field's
     nodes = tmp_path / "nodes.txt"
     nodes.write_text("0.0\n" * 13 + "nan\n" + "0.0\n" * 12)
     cfg.write_text(json.dumps({"psi0_kind": "nodes-from-file", "psi0_path": str(nodes)}))
@@ -298,7 +297,7 @@ def test_cli_exit_codes(tmp_path):
     assert err.value.field == "psi0_path"
     for name in ("boundary_c", "boundary_d"):
         with pytest.raises(ConfigError) as err:
-            initial_state(validate(replace(ExperimentConfig(), **{name: math.nan})), grid)
+            initial_state(replace(ExperimentConfig(), **{name: math.nan}), grid)
         assert err.value.field == name
     # an iteration cap of 1 cannot converge: solver failure
     capped = tmp_path / "capped.json"

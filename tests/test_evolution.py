@@ -76,10 +76,18 @@ def test_nonfinite_rejected(setup4):
         evolve(np.zeros((6, 3)), 0.01, d, scheme)
     with pytest.raises(ValueError, match="has shape"):
         evolve(np.zeros((5, 3, 2)), 0.01, d, scheme)
+    # a block needs at least one column, whatever the span
+    for t in (0.0, 0.01):
+        with pytest.raises(ValueError, match="has shape"):
+            evolve(np.zeros((5, 0)), t, d, scheme)
     bad_block = np.zeros((5, 3))
     bad_block[2, 1] = np.nan
     with pytest.raises(ValueError):
         evolve(bad_block, 0.01, d, scheme)
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve_trajectory(bad, d, scheme)
+    with pytest.raises(ValueError, match="stride"):
+        evolve_trajectory(np.zeros(5), d, scheme, stride=0)
     # a finite state whose CN right-hand side overflows while stepping
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
         evolve(np.full(5, 1e308), 10.0, d, TimeScheme(10.0, 1))
@@ -316,6 +324,14 @@ def test_impulse_time_validation(setup25):
         solve_impulsive(psi0, np.ones(1), 0.01, d, mask, scheme)
     with pytest.raises(ValueError, match="has shape"):
         solve_impulsive(psi0[:-1], np.zeros(26), 0.01, d, mask, scheme)
+    bad = np.zeros(26)
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_impulsive(bad, np.zeros(26), 0.01, d, mask, scheme)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_impulsive(psi0, bad, 0.01, d, mask, scheme)
+    with pytest.raises(ValueError, match="stride"):
+        solve_impulsive(psi0, np.zeros(26), 0.01, d, mask, scheme, stride=0)
 
 
 def test_trajectory_csv(tmp_path, setup25):
