@@ -105,6 +105,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("psi0_width", f"must be positive, got {cfg.psi0_width}")
     if not cfg.epsilons:
         raise ConfigError("epsilons", "must not be empty")
+    if len(set(cfg.epsilons)) < len(cfg.epsilons):
+        raise ConfigError("epsilons", f"entries must be distinct, got {list(cfg.epsilons)}")
     for eps in cfg.epsilons:
         make_hum_config(cfg, eps)
     check_admissible(make_weight(cfg), grid)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, isclose
-from typing import Callable, Collection, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cholesky_banded, get_lapack_funcs
@@ -177,24 +178,47 @@ class Trajectory:
     def final_state(self) -> State:
         return self.states[-1]
 
-    def to_csv(self, path) -> None:
-        """Write rows t, x_0..x_nx; the impulse time appears twice (left
-        limit first, then the post-jump state)."""
-        n = self.states.shape[1]
+    @cached_property
+    def _csv_rows(self) -> tuple[str, ...]:
+        """The lines :meth:`to_csv` writes below the header, formatted on
+        first use and kept: a trajectory passed as the ``head`` of several
+        files is formatted once."""
+        return tuple(_csv_lines(self._table()))
+
+    def _table(self) -> np.ndarray:
         table = np.column_stack([self.times, self.states])
         j = self.impulse_index
         if j is not None:
             table = np.insert(table, j, np.r_[self.times[j], self.pre_impulse_state], axis=0)
-        _write_csv(path, "t," + ",".join(f"x_{i}" for i in range(n)), table)
+        return table
+
+    def to_csv(self, path, head: Optional["Trajectory"] = None) -> None:
+        """Write rows t, x_0..x_nx; the impulse time appears twice (left
+        limit first, then the post-jump state).
+
+        With ``head``, its rows (:attr:`_csv_rows`) come first, so
+        ``post_impulse_flow(pre, ...).to_csv(path, head=pre)`` writes the
+        bytes of the matching ``solve_impulsive(...).to_csv(path)``.
+        """
+        n = self.states.shape[1]
+        _write_csv(path, "t," + ",".join(f"x_{i}" for i in range(n)), self._table(),
+                   head._csv_rows if head is not None else ())
 
 
-def _write_csv(path, header: str, table) -> None:
-    """Write ``header`` and one line per row of ``table``, each entry as the
-    repr of its float value."""
+def _csv_lines(table) -> Iterator[str]:
+    """One line per row of ``table``, each entry as the repr of its float
+    value."""
+    for row in np.asarray(table, dtype=float):
+        yield ",".join(map(repr, row.tolist())) + "\n"
+
+
+def _write_csv(path, header: str, table, head: Iterable[str] = ()) -> None:
+    """Write ``header``, the lines in ``head``, then the lines of ``table``
+    one row at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in np.asarray(table, dtype=float):
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        fh.writelines(head)
+        fh.writelines(_csv_lines(table))
 
 
 def _march(
@@ -204,40 +228,29 @@ def _march(
     dt: float,
     theta: float,
     keep: Collection[int],
-    k: Optional[int] = None,
-    jump: Optional[State] = None,
+    start: int = 0,
 ) -> Trajectory:
-    """Take ``n`` theta-steps of size ``dt`` from ``u``.
+    """Step ``u``, the state at step count ``start``, with theta-steps of
+    size ``dt`` up to step count ``n``.
 
-    Records the states after the step counts in ``keep`` (0 is ``u``
-    itself), and nothing else.  With ``k`` set, ``jump`` is added right
-    after step k and both sides of it are recorded.
+    Records the state at each step count j in ``keep`` (``start`` is ``u``
+    itself) at time j dt, and nothing else.
     """
     step = _make_step(d, dt, theta, u.shape)
     times, states = [], []
-    if 0 in keep:
-        times.append(0.0)
+    if start in keep:
+        times.append(start * dt)
         states.append(u.copy())
-    impulse_index = pre = None
-    for j in range(1, n + 1):
+    for j in range(start + 1, n + 1):
         u = step(u)
-        if j == k:
-            pre = u.copy()
-            u = u + jump
-            impulse_index = len(times)
-        if j in keep or j == k:
+        if j in keep:
             times.append(j * dt)
             states.append(u.copy())
     # The step is linear with finite coefficients, so a non-finite entry
     # (overflow) persists to the last state once it appears.
     if not np.all(np.isfinite(u)):
         raise ValueError("state became non-finite while stepping")
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        impulse_index=impulse_index,
-        pre_impulse_state=pre,
-    )
+    return Trajectory(times=np.array(times), states=np.array(states))
 
 
 def _strided(n: int, stride: int) -> frozenset:
@@ -300,6 +313,57 @@ def evolve_trajectory(
     return _march(u, d, n, scheme.dt, scheme.theta, _strided(n, stride))
 
 
+def _impulse_step(tau: float, scheme: TimeScheme) -> int:
+    """The step count k with k dt = tau, for tau on the time grid inside
+    (0, t_final)."""
+    if not 0.0 < tau < scheme.t_final:
+        raise ValueError(f"tau must lie in (0, {scheme.t_final}), got {tau}")
+    k = _grid_step(tau, scheme.dt)
+    if k is None:
+        raise ValueError(
+            f"tau={tau} is off the time grid (dt={scheme.dt}); "
+            "use TimeScheme.with_impulse_alignment"
+        )
+    return k
+
+
+def pre_impulse_flow(
+    psi0: State, tau: float, d: Discretization, scheme: TimeScheme, stride: int = 1
+) -> Trajectory:
+    """Free flow of ``psi0`` up to the impulse at ``tau`` = k dt: every
+    ``stride``-th step of 0..k, and step k, the impulse's left limit,
+    always.
+
+    It does not depend on the control, so one run serves every control
+    given to :func:`post_impulse_flow`.
+    """
+    k = _impulse_step(tau, scheme)
+    u = _check_state(psi0, d, "psi0")
+    keep = _strided(scheme.n_steps, stride) | {k}
+    return _march(u, d, k, scheme.dt, scheme.theta, keep)
+
+
+def post_impulse_flow(
+    pre: Trajectory,
+    h: State,
+    d: Discretization,
+    mask: SubdomainMask,
+    scheme: TimeScheme,
+    stride: int = 1,
+) -> Trajectory:
+    """Flow on [tau, t_final] after the masked control ``h`` jumps the last
+    state of ``pre`` (from :func:`pre_impulse_flow`): the post-jump state
+    at step k, then every ``stride``-th step and the last, at the times
+    j dt of the whole run.
+    """
+    k = _impulse_step(pre.times[-1], scheme)
+    h = _check_state(h, d, "h")
+    n = scheme.n_steps
+    keep = _strided(n, stride) | {k}
+    return _march(pre.final_state + mask.mask * h, d, n, scheme.dt, scheme.theta, keep,
+                  start=k)
+
+
 def solve_impulsive(
     psi0: State,
     h: State,
@@ -314,18 +378,16 @@ def solve_impulsive(
     The state evolves freely on [0, tau), jumps by the masked control
     (boundary entries are left untouched), then evolves freely to t_final.
     By linearity the final state equals evolve(psi0, t_final) +
-    evolve(mask * h, t_final - tau).
+    evolve(mask * h, t_final - tau).  This joins :func:`pre_impulse_flow`
+    and :func:`post_impulse_flow`; several controls for one ``psi0`` can
+    share the first.
     """
-    if not 0.0 < tau < scheme.t_final:
-        raise ValueError(f"tau must lie in (0, {scheme.t_final}), got {tau}")
-    dt = scheme.dt
-    k = _grid_step(tau, dt)
-    if k is None:
-        raise ValueError(
-            f"tau={tau} is off the time grid (dt={dt}); "
-            "use TimeScheme.with_impulse_alignment"
-        )
-    u = _check_state(psi0, d, "psi0")
-    h = _check_state(h, d, "h")
-    n = scheme.n_steps
-    return _march(u, d, n, dt, scheme.theta, _strided(n, stride), k, mask.mask * h)
+    pre = pre_impulse_flow(psi0, tau, d, scheme, stride)
+    post = post_impulse_flow(pre, h, d, mask, scheme, stride)
+    j = len(pre.times) - 1
+    return Trajectory(
+        times=np.concatenate([pre.times[:j], post.times]),
+        states=np.concatenate([pre.states[:j], post.states]),
+        impulse_index=j,
+        pre_impulse_state=pre.final_state.copy(),
+    )

@@ -27,7 +27,14 @@ from .config import (
     make_scheme,
     make_weight,
 )
-from .evolution import TimeScheme, _evolve_to, evolve_trajectory, solve_impulsive, steps_for
+from .evolution import (
+    TimeScheme,
+    _evolve_to,
+    evolve_trajectory,
+    post_impulse_flow,
+    pre_impulse_flow,
+    steps_for,
+)
 from .hum import (
     CgBreakdownError,
     HumSolution,
@@ -94,13 +101,22 @@ def _write_summary(cfg: ExperimentConfig, scenario: str, t0: float, fields: dict
     return RunSummary(scenario, tuple(rows), time.perf_counter() - t0)
 
 
-def _write_cell(out: Path, cfg: ExperimentConfig, d, mask, scheme, psi0,
+def _free_part(cfg: ExperimentConfig, d, scheme, psi0):
+    """The free flow up to the impulse at the configured snapshot stride,
+    which every cell of one scenario call shares."""
+    return pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
+
+
+def _write_cell(out: Path, cfg: ExperimentConfig, d, mask, scheme, free,
                 sol: HumSolution) -> None:
     """Write one solve's ``trajectory.csv`` (replayed at the configured
-    snapshot stride), ``control.csv`` and ``report.json`` into ``out``."""
-    traj = solve_impulsive(psi0, sol.control, cfg.tau, d, mask, scheme,
-                           stride=cfg.snapshot_stride)
-    traj.to_csv(out / "trajectory.csv")
+    snapshot stride), ``control.csv`` and ``report.json`` into ``out``.
+
+    ``free`` is :func:`_free_part`; only the flow after the impulse is
+    marched and formatted here, and the file keeps the bytes of
+    ``solve_impulsive(...).to_csv``."""
+    post = post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
+    post.to_csv(out / "trajectory.csv", head=free)
     write_state_csv(d.grid.nodes, sol.control, out / "control.csv")
     write_solution_json(sol, out / "report.json")
 
@@ -120,7 +136,8 @@ def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, H
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
     sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme)
-    _write_cell(_scenario_dir(cfg, "controlled"), cfg, d, mask, scheme, psi0, sol)
+    _write_cell(_scenario_dir(cfg, "controlled"), cfg, d, mask, scheme,
+                _free_part(cfg, d, scheme, psi0), sol)
     row = _row(sol)
     fields = {**row.to_dict(), "initial_norm": sol.initial_norm}
     return _write_summary(cfg, "controlled", t0, fields, (row,)), sol
@@ -157,6 +174,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
     out = _scenario_dir(cfg, "sweep")
+    free = _free_part(cfg, d, scheme, psi0)
     rows = []
     for i, (row, sol) in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
         rows.append(row)
@@ -165,7 +183,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
         if sol is None:
             write_json({"epsilon": row.epsilon, "error": row.error}, cell / "summary.json")
         else:
-            _write_cell(cell, cfg, d, mask, scheme, psi0, sol)
+            _write_cell(cell, cfg, d, mask, scheme, free, sol)
     return _write_summary(cfg, "sweep", t0, {"rows": [r.to_dict() for r in rows]}, rows)
 
 

@@ -64,6 +64,8 @@ FIELD_CASES = [
     ("boundary_c", float("inf"), "boundary_c"),
     ("boundary_d", float("-inf"), "boundary_d"),
     ("epsilons", (1e-2, float("nan")), "epsilons"),
+    # a repeated penalty would be solved twice and keep one report entry
+    ("epsilons", (1e-2, 1e-2, 1e-3), "epsilons"),
     ("psi0_width", float("inf"), "psi0_width"),
 ]
 
@@ -191,13 +193,15 @@ def test_run_controlled_reduces_final_norm(tmp_path):
 
 
 def test_run_table1_rows_sorted_and_deterministic(tmp_path):
-    cfg = validate(replace(ExperimentConfig(), epsilons=(1e-3, 1e-2, 1e-3),
+    cfg = validate(replace(ExperimentConfig(), epsilons=(1e-3, 1e-2, 1e-4),
                            out_dir=str(tmp_path)))
     summary = run_table1(cfg)
     eps = [r.epsilon for r in summary.rows]
-    assert eps == sorted(eps, reverse=True)
-    dup = [r for r in summary.rows if r.epsilon == 1e-3]
-    assert dup[0] == dup[1]
+    assert eps == [1e-2, 1e-3, 1e-4]
+    # a rerun reproduces every row, and the report holds one entry per row
+    assert run_table1(cfg).rows == summary.rows
+    report = json.loads((tmp_path / "table1" / "report.json").read_text())
+    assert sorted(map(float, report["per_epsilon"]), reverse=True) == eps
 
 
 def test_run_table1_nx4_matches_dense_oracle_pipeline(tmp_path):
@@ -234,6 +238,23 @@ def test_run_sweep_emits_cells(tmp_path):
     assert cells == ["cell00_eps_0.01", "cell01_eps_0.001"]
     for cell in cells:
         assert (tmp_path / "sweep" / cell / "control.csv").exists()
+
+
+def test_sweep_cells_share_the_free_rows(tmp_path):
+    # The impulse sits at step 100; stride 3 keeps 0, 3, ..., 99 and 100.
+    cfg = validate(replace(ExperimentConfig(), snapshot_stride=3, out_dir=str(tmp_path)))
+    run_sweep(cfg)
+    cells = sorted(p for p in (tmp_path / "sweep").iterdir() if p.is_dir())
+    files = [(cell / "trajectory.csv").read_text().splitlines() for cell in cells]
+    assert len(files) == 3
+    n_free = 1 + len(range(0, 100, 3)) + 1
+    for lines in files:
+        assert lines[0].startswith("t,x_0,")
+        assert lines[:n_free] == files[0][:n_free]
+    assert [float(lines[n_free - 1].split(",")[0]) for lines in files] == [0.01] * 3
+    assert [float(lines[n_free].split(",")[0]) for lines in files] == [0.01] * 3
+    # the post-jump rows carry each cell's own control
+    assert len({lines[n_free] for lines in files}) == 3
 
 
 def test_breakdown_keeps_partial_rows(tmp_path, monkeypatch):
@@ -278,7 +299,7 @@ def test_cli_exit_codes(tmp_path):
     for bad in ({"omega_lo": 0.9}, {"nx": "25"}, {"nx": 25.5}, {"seed": "a"},
                 {"epsilons": 0.01}, {"epsilons": ["x"]}, {"boundary_c": math.inf},
                 {"psi0_amplitude": math.inf}, {"a": math.nan}, {"t_final": math.inf},
-                {"epsilons": [1e-2, -math.inf]}):
+                {"epsilons": [1e-2, -math.inf]}, {"epsilons": [0.01, 0.01, 0.001]}):
         cfg.write_text(json.dumps(bad))
         assert main(["uncontrolled", "--config", str(cfg)]) == EXIT_CONFIG
         with pytest.raises(ConfigError) as err:

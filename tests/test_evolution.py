@@ -9,6 +9,8 @@ from impulsehum import (
     evolve,
     evolve_trajectory,
     norm,
+    post_impulse_flow,
+    pre_impulse_flow,
     solve_impulsive,
     steps_for,
     subdomain_mask,
@@ -350,6 +352,52 @@ def test_trajectory_csv(tmp_path, setup25):
     expected = [[t, *s] for t, s in zip(traj.times, traj.states)]
     expected.insert(j, [traj.times[j], *traj.pre_impulse_state])
     assert [[float(v) for v in l.split(",")] for l in lines[1:]] == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    nx=st.integers(2, 40),
+    method=st.sampled_from(["crank_nicolson", "backward_euler"]),
+    n_steps=st.integers(2, 60),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_write_bytes_equal_solve_impulsive(tmp_path_factory, nx, method, n_steps, data,
+                                                 seed):
+    # The impulse at step k and the stride are drawn independently, so most
+    # strides do not divide k; the free part is written as the head of two
+    # files, the second from its kept rows.
+    k = data.draw(st.integers(1, n_steps - 1), label="k")
+    stride = data.draw(st.integers(1, n_steps), label="stride")
+    grid = Grid(0.0, 1.0, nx)
+    d = build_discretization(grid)
+    mask = subdomain_mask(grid, 0.2, 0.8)
+    scheme = TimeScheme(0.02, n_steps, method)
+    tau = k * scheme.dt
+    psi0, *controls = np.random.default_rng(seed).standard_normal((3, nx + 1))
+    out = tmp_path_factory.mktemp("split")
+    pre = pre_impulse_flow(psi0, tau, d, scheme, stride)
+    kept = sorted({*range(0, n_steps + 1, stride), k, n_steps})
+    for i, h in enumerate(controls):
+        whole = solve_impulsive(psi0, h, tau, d, mask, scheme, stride)
+        ref, left = reference_march(psi0, d, n_steps, scheme.dt, scheme.theta, k, mask.mask * h)
+        assert np.array_equal(whole.times, np.array(kept) * scheme.dt)
+        assert np.array_equal(whole.states, ref[kept])
+        assert np.array_equal(whole.pre_impulse_state, left)
+        whole.to_csv(out / f"whole{i}.csv")
+        post_impulse_flow(pre, h, d, mask, scheme, stride).to_csv(out / f"split{i}.csv",
+                                                                  head=pre)
+        assert (out / f"split{i}.csv").read_bytes() == (out / f"whole{i}.csv").read_bytes()
+
+
+def test_post_impulse_flow_starts_inside_the_horizon(setup25):
+    _, d, mask, scheme, psi0 = setup25
+    free = evolve_trajectory(psi0, d, scheme)
+    with pytest.raises(ValueError, match="tau must lie"):
+        post_impulse_flow(free, np.zeros(26), d, mask, scheme)
+    pre = pre_impulse_flow(psi0, 0.01, d, scheme)
+    with pytest.raises(ValueError, match="has shape"):
+        post_impulse_flow(pre, np.zeros(25), d, mask, scheme)
 
 
 def test_trajectory_stride_records_endpoints(setup25):

@@ -6,16 +6,22 @@ scenario at the default config, with ``config.out_dir`` dropped.
 ``controlled``, ``table1``, ``convexity`` and the first ``sweep`` cell, keyed
 by path below the output directory.  ``data/golden_convexity_nsteps201.json``
 holds the convexity ``report.json`` at ``--nsteps 201``.  Floats must agree to 1e-12 relative;
-ints, bools, strings, nulls and the config echo must match exactly.  Refresh
-a file only for a change meant to alter results.
+ints, bools, strings, nulls and the config echo must match exactly.
+``data/golden_csv_sha256.json`` holds the sha256 of every ``trajectory.csv``
+and ``control.csv`` that ``controlled`` and ``sweep`` write at the default
+config, for each (method, snapshot stride) in ``CSV_RUNS``: these files must
+keep their bytes.  Refresh a file only for a change meant to alter results.
 """
 
+import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from impulsehum import ExperimentConfig, run_controlled, run_sweep, validate
 from impulsehum.cli import EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
@@ -23,6 +29,11 @@ GOLDEN = json.loads((DATA / "golden_summaries.json").read_text(encoding="utf-8")
 GOLDEN_REPORTS = json.loads((DATA / "golden_reports.json").read_text(encoding="utf-8"))
 GOLDEN_NSTEPS201 = json.loads(
     (DATA / "golden_convexity_nsteps201.json").read_text(encoding="utf-8"))
+GOLDEN_CSV = json.loads((DATA / "golden_csv_sha256.json").read_text(encoding="utf-8"))
+# The impulse sits at step 100 of 200: stride 3 does not divide it, and
+# stride 200 keeps only the ends and both sides of the jump.
+CSV_RUNS = [("crank_nicolson", 1), ("crank_nicolson", 3), ("crank_nicolson", 200),
+            ("backward_euler", 7)]
 
 
 def _assert_close(got, want, where):
@@ -65,3 +76,20 @@ def test_convexity_report_with_several_step_sizes_matches_golden(tmp_path):
     assert main(["convexity", "--nsteps", "201", "--out", str(tmp_path)]) == EXIT_OK
     got = json.loads((tmp_path / "convexity" / "report.json").read_text(encoding="utf-8"))
     _assert_close(got, GOLDEN_NSTEPS201, "convexity --nsteps 201")
+
+
+def csv_digests(method: str, stride: int, out: Path) -> dict:
+    """sha256 of each CSV that ``controlled`` (at the first penalty) and
+    ``sweep`` write at the default config with ``method`` and ``stride``,
+    keyed by path below ``out``."""
+    cfg = validate(replace(ExperimentConfig(), method=method, snapshot_stride=stride,
+                           out_dir=str(out)))
+    run_controlled(cfg, cfg.epsilons[0])
+    run_sweep(cfg)
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*.csv"))}
+
+
+@pytest.mark.parametrize("method, stride", CSV_RUNS)
+def test_controlled_and_sweep_csv_bytes_match_golden(method, stride, tmp_path):
+    assert csv_digests(method, stride, tmp_path) == GOLDEN_CSV[f"{method}/stride{stride}"]
