@@ -39,7 +39,7 @@ for kappa, eps in ((1e3, 1e-2), (1e3, 5e-2), (1e2, 5e-2), (1e2, 1e-2)):
                     kappa=kappa, max_iter=3000)
     sol = solve_cost_weighted(psi0, cfg, disc, mask, scheme)
     ident = norm(sol.final_state + eps**2 * sol.minimizer, disc)
-    rep = cost_bound_check(sol, cfg)
+    rep = cost_bound_check(sol)
     print(
         f"{kappa:<8g} {eps:<6g} {ident:<19.2e} {rep.control_term:<13.4f} "
         f"{rep.final_term:<11.4f} {rep.initial_sq:<7.4f} {rep.ok}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, isclose
+from math import ceil, inf, isclose
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -150,8 +150,8 @@ def steps_for(t: float, scheme: TimeScheme) -> tuple[int, float]:
     When t is not an exact multiple of the target dt the count is rounded up
     and the step slightly shrunk, so the final time is always hit exactly.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0 <= t < inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0:
         return 0, scheme.dt
     ratio = t / scheme.dt

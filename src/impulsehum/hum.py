@@ -10,8 +10,9 @@ where E(t) is the discrete semigroup, B the interior restriction to the
 control region, and all inner products the weighted one (Lambda + eps I is
 self-adjoint positive definite only in that geometry).  The conjugate
 gradient iteration below works matrix-free: one application of Lambda (two
-propagations) per iteration.  The functional it records is read off the
-residual it already holds, so it costs no further propagation.
+propagations) per iteration; the functional it records is read off its
+residual.  One march of psi0 gives E(T) psi0 and the impulse's left limit,
+from which the final state is marched over T - tau.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import TimeScheme, _evolve_to, _write_csv, evolve, solve_impulsive, steps_for
+from .evolution import (TimeScheme, _evolve_to, _impulse_step, _write_csv, evolve,
+                        solve_impulsive, steps_for)
 from .mesh import ConfigError, Discretization, State, SubdomainMask, inner, norm, subdomain_norm
 
 
@@ -132,7 +134,7 @@ def penalized_objective(
 
 
 def _run_cg(
-    psi0: State,
+    b: State,
     cfg: HumConfig,
     d: Discretization,
     mask: SubdomainMask,
@@ -141,20 +143,20 @@ def _run_cg(
     penalty: float,
     f0: Optional[State],
 ):
-    """CG on (obs_weight * Lambda + penalty I) f = -E(T) psi0.
+    """CG on (obs_weight * Lambda + penalty I) f = -b, with b = E(T) psi0.
 
     Returns the iterate, the residual and functional histories, the
     iteration count, whether the recursive residual met the tolerance, and
     |g_0|.
 
     Follows the printed iteration: g_0 = penalty f_0 + obs_weight Lambda f_0
-    + E(T) psi0, descent directions w_k, step rho_k = |g_{k-1}|^2 /
-    <gbar_k, w_{k-1}>, restart-free, stop on |g_k| / |g_0| <= tol.
+    + b, descent directions w_k, step rho_k = |g_{k-1}|^2 / <gbar_k, w_{k-1}>,
+    restart-free, stop on |g_k| / |g_0| <= tol.
 
-    The functional J(f) = 1/2 <A f, f> + <b, f>, with A the operator and
-    b = E(T) psi0, is recorded as 1/2 <g + b, f> from the residual
-    g = A f + b that CG already holds.  This is the penalized objective
-    because E(T) is self-adjoint, so <psi0, E(T) f> = <b, f>.
+    The functional J(f) = 1/2 <A f, f> + <b, f>, with A the operator, is
+    recorded as 1/2 <g + b, f> from the residual g = A f + b that CG already
+    holds.  This is the penalized objective because E(T) is self-adjoint, so
+    <psi0, E(T) f> = <b, f>.
     """
 
     def apply_op(v: State) -> State:
@@ -163,7 +165,6 @@ def _run_cg(
     def objective(v: State, g: State) -> float:
         return 0.5 * inner(g + b, v, d)
 
-    b = evolve(psi0, cfg.t_final, d, scheme)
     if f0 is None:
         f = np.zeros(d.grid.n_dof)
         g = b.copy()
@@ -216,23 +217,24 @@ def _solve(
     f0: Optional[State],
     kappa: Optional[float],
 ) -> HumSolution:
-    """Run CG, then build the control obs_weight B E(T-tau) f and replay the
-    impulsive solve once for the final state Psi(T).
-
-    Since the control carries the operator's observation weight,
-    Psi(T) = E(T) psi0 + obs_weight Lambda f up to roundoff, so
-    penalty f + Psi(T) is the true residual of the CG system at f.  ``converged`` also requires it
-    (relative to |g_0|) to meet the tolerance, because CG's recursive
-    residual can drift below the true one near roundoff.
+    """Run CG on b = E(T) psi0, build the control obs_weight B E(T-tau) f,
+    and march Psi(T) from the left limit E(tau) psi0 plus the control over
+    the n - k steps after the impulse at step k, bit for bit the last state
+    of :func:`solve_impulsive`; one march of ``psi0`` gives b and the limit.
+    As the control carries the observation weight, Psi(T) = b + obs_weight
+    Lambda f up to roundoff, so penalty f + Psi(T) is the true residual at
+    f.  ``converged`` also requires it (relative to |g_0|) to meet tol,
+    because CG's recursive residual can drift below the true one.
     """
+    k = _impulse_step(cfg.tau, scheme)
+    left, b = _evolve_to(psi0, [(k, scheme.dt), steps_for(cfg.t_final, scheme)], d,
+                         scheme.theta)
     f, residuals, functionals, iterations, converged, g0_norm = _run_cg(
-        psi0, cfg, d, mask, scheme, obs_weight, penalty, f0
+        b, cfg, d, mask, scheme, obs_weight, penalty, f0
     )
-    span = cfg.t_final - cfg.tau
-    control = obs_weight * control_op(evolve(f, span, d, scheme), mask)
-    # Only the final state is read, so keep no snapshots between the ends.
-    traj = solve_impulsive(psi0, control, cfg.tau, d, mask, scheme, stride=scheme.n_steps)
-    final = traj.final_state
+    control = obs_weight * control_op(evolve(f, cfg.t_final - cfg.tau, d, scheme), mask)
+    (final,) = _evolve_to(left + mask.mask * control, [(scheme.n_steps - k, scheme.dt)], d,
+                          scheme.theta)
     true_residual = norm(penalty * f + final, d) / g0_norm if g0_norm else 0.0
     return HumSolution(
         minimizer=f,
@@ -254,7 +256,7 @@ def _solve(
 
 def _check_horizon(cfg: HumConfig, scheme: TimeScheme, caller: str) -> None:
     """The impulse solvers need tau < t_final, and the scheme must span the
-    same horizon: the forward replays take ``scheme.n_steps`` steps."""
+    same horizon: the forward marches take ``scheme.n_steps`` steps."""
     if not cfg.tau < cfg.t_final:
         raise ValueError(f"{caller} needs tau < t_final")
     if not isclose(cfg.t_final, scheme.t_final, rel_tol=1e-9):
@@ -275,9 +277,9 @@ def cg_solve(
     """Minimal-norm impulse control via CG on (Lambda + eps I) f = -E(T) psi0.
 
     On convergence the control is the masked propagation of the minimizer and
-    the reported final state comes from one impulsive forward solve.  If the
-    iteration cap is hit the best iterate is returned with ``converged``
-    False rather than raising, so partial sweeps stay reproducible.
+    the final state is marched after the impulse from the left limit the free
+    march of ``psi0`` holds.  If the iteration cap is hit the best iterate is
+    returned with ``converged`` False, so partial sweeps stay reproducible.
     """
     _check_horizon(cfg, scheme, "cg_solve")
     return _solve(psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon,
@@ -347,21 +349,21 @@ class CostBoundReport:
     ok: bool
 
 
-def cost_bound_check(solution: HumSolution, cfg: HumConfig) -> CostBoundReport:
+def cost_bound_check(solution: HumSolution) -> CostBoundReport:
     """Check (1/kappa^2) |h|_omega^2 + (1/eps^2) |Psi(T)|^2 <= |Psi0|^2.
 
-    Only meaningful for solutions of :func:`solve_cost_weighted`; the slack
-    is allowed a small negative margin proportional to the CG stopping
-    tolerance.
+    Only meaningful for solutions of :func:`solve_cost_weighted`; kappa, eps
+    and the CG stopping tolerance are the solution's own.  The slack is
+    allowed a small negative margin proportional to that tolerance.
     """
     if solution.kappa is None:
         raise ValueError("cost_bound_check needs a solution from solve_cost_weighted")
     control_term = solution.control_norm**2 / solution.kappa**2
-    final_term = solution.final_norm**2 / cfg.epsilon**2
+    final_term = solution.final_norm**2 / solution.epsilon**2
     total = control_term + final_term
     initial_sq = solution.initial_norm**2
     slack = initial_sq - total
-    ok = slack >= -10.0 * cfg.tol * initial_sq
+    ok = slack >= -10.0 * solution.tol * initial_sq
     return CostBoundReport(
         control_term=control_term,
         final_term=final_term,

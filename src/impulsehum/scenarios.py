@@ -101,19 +101,14 @@ def _write_summary(cfg: ExperimentConfig, scenario: str, t0: float, fields: dict
     return RunSummary(scenario, tuple(rows), time.perf_counter() - t0)
 
 
-def _free_part(cfg: ExperimentConfig, d, scheme, psi0):
-    """The free flow up to the impulse at the configured snapshot stride,
-    which every cell of one scenario call shares."""
-    return pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
-
-
 def _write_cell(out: Path, cfg: ExperimentConfig, d, mask, scheme, free,
                 sol: HumSolution) -> None:
     """Write one solve's ``trajectory.csv`` (replayed at the configured
     snapshot stride), ``control.csv`` and ``report.json`` into ``out``.
 
-    ``free`` is :func:`_free_part`; only the flow after the impulse is
-    marched and formatted here, and the file keeps the bytes of
+    ``free`` is the scenario's :func:`pre_impulse_flow` at that stride,
+    shared by every cell; only the flow after the impulse is marched and
+    formatted here, and the file keeps the bytes of
     ``solve_impulsive(...).to_csv``."""
     post = post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
     post.to_csv(out / "trajectory.csv", head=free)
@@ -136,8 +131,8 @@ def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, H
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
     sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme)
-    _write_cell(_scenario_dir(cfg, "controlled"), cfg, d, mask, scheme,
-                _free_part(cfg, d, scheme, psi0), sol)
+    free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
+    _write_cell(_scenario_dir(cfg, "controlled"), cfg, d, mask, scheme, free, sol)
     row = _row(sol)
     fields = {**row.to_dict(), "initial_norm": sol.initial_norm}
     return _write_summary(cfg, "controlled", t0, fields, (row,)), sol
@@ -174,7 +169,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
     out = _scenario_dir(cfg, "sweep")
-    free = _free_part(cfg, d, scheme, psi0)
+    free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
     rows = []
     for i, (row, sol) in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
         rows.append(row)

@@ -293,7 +293,7 @@ def test_criterion_6_cost_weighted_construction():
         hum = HumConfig(epsilon=eps, tau=cfg.tau, t_final=cfg.t_final, tol=cfg.tol,
                         kappa=kappa, max_iter=3000)
         sol = solve_cost_weighted(u0, hum, d, mask, scheme)
-        rep = cost_bound_check(sol, hum)
+        rep = cost_bound_check(sol)
         # Terminal identity: Psi(T) + eps^2 f is the CG residual g.
         el = norm(sol.final_state + eps**2 * sol.minimizer, d)
         el_ok = sol.converged and el <= 10.0 * cfg.tol * sol.initial_norm

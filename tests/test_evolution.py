@@ -71,6 +71,9 @@ def test_nonfinite_rejected(setup4):
         evolve(bad, 0.01, d, scheme)
     with pytest.raises(ValueError):
         evolve(np.zeros(5), -1.0, d, scheme)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"got {t}"):
+            evolve(np.zeros(5), t, d, scheme)
     with pytest.raises(ValueError, match="has shape"):
         evolve_trajectory(np.zeros(4), d, scheme)
     # blocks: one state per column, rows must match the grid

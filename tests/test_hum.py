@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from impulsehum import (
     CgBreakdownError,
@@ -19,11 +20,13 @@ from impulsehum import (
     solve_cost_weighted,
     solve_impulsive,
     solution_to_dict,
+    steps_for,
     subdomain_mask,
     subdomain_norm,
     write_solution_json,
     write_state_csv,
 )
+from impulsehum import evolution
 
 from oracles import assemble_operator, central_difference, dense_gramian
 
@@ -214,6 +217,76 @@ def test_true_residual_and_final_state(solver, setup25):
     assert np.array_equal(sol.final_state, replay.final_state)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    nx=st.integers(2, 40),
+    method=st.sampled_from(["crank_nicolson", "backward_euler"]),
+    n_steps=st.integers(2, 40),
+    k_frac=st.floats(0.0, 1.0, exclude_max=True),
+    log_eps=st.floats(-3.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+    t_final=st.just(0.02),
+)
+# A horizon one ulp past the scheme's passes the horizon check, but its step
+# differs from the scheme's (exactly so for a power-of-two step count), so
+# b and the impulse's left limit come from two marches.
+@example(nx=7, method="crank_nicolson", n_steps=16, k_frac=0.5, log_eps=-2.0, seed=3,
+         t_final=float(np.nextafter(0.02, np.inf)))
+def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, seed, t_final):
+    grid = Grid(0.0, 1.0, nx)
+    d = build_discretization(grid)
+    mask = subdomain_mask(grid, 0.2, 0.8)
+    scheme = TimeScheme(0.02, n_steps, method)
+    tau = (1 + int(k_frac * (n_steps - 1))) * scheme.dt
+    cfg = HumConfig(epsilon=10.0**log_eps, tau=tau, t_final=t_final)
+    assert (steps_for(t_final, scheme)[1] != scheme.dt) == (t_final != scheme.t_final)
+    psi0 = np.random.default_rng(seed).standard_normal(nx + 1)
+    b = evolve(psi0, t_final, d, scheme)
+    for solver in (cg_solve, solve_cost_weighted):
+        sol = solver(psi0, cfg, d, mask, scheme)
+        replay = solve_impulsive(psi0, sol.control, tau, d, mask, scheme)
+        assert np.array_equal(sol.final_state, replay.final_state)
+        weight, penalty = (sol.kappa**2, cfg.epsilon**2) if sol.kappa else (1.0, cfg.epsilon)
+        lam_f = gramian_apply(sol.minimizer, cfg, d, mask, scheme)
+        g = weight * lam_f + penalty * sol.minimizer + b
+        # The floor is roundoff relative to |b|, for solves that end far
+        # below the tolerance.
+        assert sol.true_residual == pytest.approx(norm(g, d) / norm(b, d), rel=1e-8, abs=1e-12)
+
+
+def _count_steps(monkeypatch) -> list:
+    """Count theta-steps, one per column, by wrapping ``evolution._march``;
+    the count is the list's one entry."""
+    counted = [0]
+    march = evolution._march
+
+    def counting(u, d, n, dt, theta, keep, start=0):
+        counted[0] += (n - start) * (u.shape[1] if u.ndim == 2 else 1)
+        return march(u, d, n, dt, theta, keep, start)
+
+    monkeypatch.setattr(evolution, "_march", counting)
+    return counted
+
+
+def test_one_free_march_per_solve(monkeypatch, setup25):
+    # psi0 is marched once over all n steps, keeping step k = tau / dt (the
+    # impulse's left limit) and step n (b); each CG iteration, the control
+    # and the final state take n - k steps per propagation.
+    _, d, mask, scheme, psi0 = setup25
+    steps = _count_steps(monkeypatch)
+    sol = cg_solve(psi0, _cfg(1e-2), d, mask, scheme)
+    n, k = scheme.n_steps, 100
+    assert steps[0] == n + 2 * (n - k) * sol.iterations + 2 * (n - k) == 1200
+
+
+def test_off_grid_tau_rejected_before_marching(monkeypatch, setup25):
+    _, d, mask, scheme, psi0 = setup25
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(ValueError, match="off the time grid"):
+        cg_solve(psi0, HumConfig(epsilon=1e-2, tau=0.010003, t_final=0.02), d, mask, scheme)
+    assert steps[0] == 0
+
+
 def test_cg_linearity_in_initial_state(setup25):
     _, d, mask, scheme, psi0 = setup25
     one = cg_solve(psi0, _cfg(1e-3), d, mask, scheme)
@@ -269,8 +342,8 @@ def test_cost_weighted_scaling_homogeneity(setup25):
     one = solve_cost_weighted(psi0, cfg, d, mask, scheme)
     two = solve_cost_weighted(2.0 * psi0, cfg, d, mask, scheme)
     assert norm(two.control - 2.0 * one.control, d) <= 1e-12 * max(1.0, norm(one.control, d))
-    rep1 = cost_bound_check(one, cfg)
-    rep2 = cost_bound_check(two, cfg)
+    rep1 = cost_bound_check(one)
+    rep2 = cost_bound_check(two)
     assert rep2.total == pytest.approx(4.0 * rep1.total, rel=1e-10)
 
 
@@ -278,7 +351,7 @@ def test_cost_bound_zero_state(setup25):
     _, d, mask, scheme, _ = setup25
     cfg = _cfg(1e-2, kappa=10.0)
     sol = solve_cost_weighted(np.zeros(26), cfg, d, mask, scheme)
-    rep = cost_bound_check(sol, cfg)
+    rep = cost_bound_check(sol)
     assert rep.total == 0.0 and rep.initial_sq == 0.0 and rep.ok
 
 
@@ -288,16 +361,26 @@ def test_cost_bound_large_kappa_resolved(setup25):
     _, d, mask, scheme, psi0 = setup25
     cfg = _cfg(1e-2, kappa=1e3)
     sol = solve_cost_weighted(psi0, cfg, d, mask, scheme)
-    rep = cost_bound_check(sol, cfg)
+    rep = cost_bound_check(sol)
     assert rep.ok and rep.total <= rep.initial_sq * (1.0 + 1e-6)
     assert sol.final_norm <= cfg.epsilon * sol.initial_norm
+
+
+def test_cost_bound_uses_the_solutions_penalty(setup25):
+    # The final term divides by the solution's own eps^2; at kappa = 100 the
+    # sine datum breaks the bound.
+    _, d, mask, scheme, psi0 = setup25
+    sol = solve_cost_weighted(psi0, _cfg(1e-2, kappa=100.0), d, mask, scheme)
+    rep = cost_bound_check(sol)
+    assert rep.final_term == sol.final_norm**2 / sol.epsilon**2
+    assert rep.final_term == pytest.approx(1.076, abs=1e-3) and not rep.ok
 
 
 def test_cost_bound_requires_kappa(setup25):
     _, d, mask, scheme, psi0 = setup25
     sol = cg_solve(psi0, _cfg(1e-2), d, mask, scheme)
     with pytest.raises(ValueError):
-        cost_bound_check(sol, _cfg(1e-2))
+        cost_bound_check(sol)
 
 
 def test_duality_trivial_zero(setup25):
