@@ -56,13 +56,20 @@ class TimeScheme:
 
         The impulse is applied as a state replacement between steps, so tau
         must be an exact step multiple.  tau / t_final is snapped to a nearby
-        rational and n_steps is rounded up to a multiple of its denominator.
+        rational and n_steps is rounded up to a multiple of its denominator;
+        a refinement past twice n_steps is refused rather than silently
+        multiplying the work.
         """
         if not 0.0 < tau < self.t_final:
             raise ConfigError("tau", f"must lie in (0, {self.t_final}), got {tau}")
         frac = Fraction(tau / self.t_final).limit_denominator(10**6)
         q = frac.denominator
         n = ceil(self.n_steps / q) * q
+        if n > 2 * self.n_steps:
+            raise ConfigError(
+                "tau", f"{tau} sits on the time grid only with {n} steps, more than twice "
+                f"n_steps={self.n_steps} (grid spacing t_final/n_steps={self.dt})"
+            )
         scheme = TimeScheme(self.t_final, n, self.method)
         if _grid_step(tau, scheme.dt) is None:
             raise ConfigError("tau", f"{tau} cannot be aligned to the time grid")
@@ -343,6 +350,15 @@ def pre_impulse_flow(
     return _march(u, d, k, scheme.dt, scheme.theta, keep)
 
 
+def _left_limit_step(pre: Trajectory, scheme: TimeScheme) -> int:
+    """The impulse step k of ``pre``, which must be a free flow (no
+    impulse) whose last state is the left limit at k dt, as
+    :func:`pre_impulse_flow` gives it."""
+    if pre.impulse_index is not None:
+        raise ValueError("expected a free flow from pre_impulse_flow, got an impulsive trajectory")
+    return _impulse_step(pre.times[-1], scheme)
+
+
 def post_impulse_flow(
     pre: Trajectory,
     h: State,
@@ -356,7 +372,7 @@ def post_impulse_flow(
     at step k, then every ``stride``-th step and the last, at the times
     j dt of the whole run.
     """
-    k = _impulse_step(pre.times[-1], scheme)
+    k = _left_limit_step(pre, scheme)
     h = _check_state(h, d, "h")
     n = scheme.n_steps
     keep = _strided(n, stride) | {k}

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from impulsehum import Grid, TimeScheme, build_discretization, subdomain_mask
+from impulsehum import Grid, TimeScheme, build_discretization, evolution, subdomain_mask
 
 
 @pytest.fixture
@@ -30,3 +30,18 @@ def setup4():
     mask = subdomain_mask(grid, 0.2, 0.8)
     scheme = TimeScheme(0.02, 200, "crank_nicolson")
     return grid, d, mask, scheme
+
+
+@pytest.fixture
+def step_count(monkeypatch) -> list:
+    """Count theta-steps, one per column, by wrapping ``evolution._march``;
+    the count is the list's one entry."""
+    counted = [0]
+    march = evolution._march
+
+    def counting(u, d, n, dt, theta, keep, start=0):
+        counted[0] += (n - start) * (u.shape[1] if u.ndim == 2 else 1)
+        return march(u, d, n, dt, theta, keep, start)
+
+    monkeypatch.setattr(evolution, "_march", counting)
+    return counted

@@ -93,6 +93,18 @@ def test_validation_aligns_impulse_steps():
     assert cfg.n_steps == 9
 
 
+def test_unplaceable_impulse_is_config_error(tmp_path):
+    # tau / t_final = 100001 / 200000 would need 200 000 steps, 1 000 times
+    # the 200 asked for.
+    with pytest.raises(ConfigError) as err:
+        validate(replace(ExperimentConfig(), tau=0.0100001))
+    assert err.value.field == "tau"
+    assert "200000 steps" in str(err.value) and "t_final/n_steps=0.0001" in str(err.value)
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"tau": 0.0100001}))
+    assert main(["controlled", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
 def test_inadmissible_weight_slope_is_config_error(tmp_path):
     cfg = replace(ExperimentConfig(), a=0.0, b=10.0, omega_lo=2.0, omega_hi=8.0,
                   x0=5.0, s=1.0, tau=0.01)
@@ -257,15 +269,20 @@ def test_sweep_cells_share_the_free_rows(tmp_path):
     assert len({lines[n_free] for lines in files}) == 3
 
 
-def test_breakdown_keeps_partial_rows(tmp_path, monkeypatch):
+@pytest.fixture
+def breakdown_at_1e_3(monkeypatch):
+    """Make the scenarios' CG solve break down at epsilon = 1e-3."""
     real = scenarios.cg_solve
 
-    def flaky(psi0, cfg, d, mask, scheme):
+    def flaky(psi0, cfg, d, mask, scheme, **kw):
         if cfg.epsilon == 1e-3:
             raise CgBreakdownError("forced")
-        return real(psi0, cfg, d, mask, scheme)
+        return real(psi0, cfg, d, mask, scheme, **kw)
 
     monkeypatch.setattr(scenarios, "cg_solve", flaky)
+
+
+def test_breakdown_keeps_partial_rows(tmp_path, breakdown_at_1e_3):
     cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
     for run in (run_table1, run_sweep):
         rows = run(cfg).rows
@@ -277,6 +294,31 @@ def test_breakdown_keeps_partial_rows(tmp_path, monkeypatch):
     cell = json.loads((tmp_path / "sweep" / "cell01_eps_0.001" / "summary.json").read_text())
     assert cell == {"epsilon": 1e-3, "error": "forced"}
     assert (tmp_path / "sweep" / "cell02_eps_0.0001" / "control.csv").exists()
+
+
+def test_breakdown_summary_is_valid_json(tmp_path, breakdown_at_1e_3):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
+    for run in (run_table1, run_sweep):
+        run(cfg)
+        text = (tmp_path / run.__name__.removeprefix("run_") / "summary.json").read_text()
+        rows = json.loads(text, parse_constant=reject)["rows"]
+        assert rows[1]["final_norm"] is None and rows[1]["control_norm"] is None
+        assert rows[1]["error"] == "forced" and rows[0]["final_norm"] > 0.0
+
+
+def test_default_scenarios_share_one_free_flow(tmp_path, step_count):
+    # With n = 200 steps and the impulse at k = 100, each call marches psi0
+    # to the impulse once (k steps) and every solve marches b, the control
+    # and the final state over the n - k steps after it.
+    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
+    for call, steps in ((lambda: run_controlled(cfg, 1e-2), 1300), (lambda: run_table1(cfg), 3600),
+                        (lambda: run_sweep(cfg), 3900)):
+        step_count[0] = 0
+        call()
+        assert step_count[0] == steps
 
 
 def test_run_convexity_reports_constants(tmp_path):
