@@ -350,15 +350,6 @@ def pre_impulse_flow(
     return _march(u, d, k, scheme.dt, scheme.theta, keep)
 
 
-def _left_limit_step(pre: Trajectory, scheme: TimeScheme) -> int:
-    """The impulse step k of ``pre``, which must be a free flow (no
-    impulse) whose last state is the left limit at k dt, as
-    :func:`pre_impulse_flow` gives it."""
-    if pre.impulse_index is not None:
-        raise ValueError("expected a free flow from pre_impulse_flow, got an impulsive trajectory")
-    return _impulse_step(pre.times[-1], scheme)
-
-
 def post_impulse_flow(
     pre: Trajectory,
     h: State,
@@ -372,7 +363,7 @@ def post_impulse_flow(
     at step k, then every ``stride``-th step and the last, at the times
     j dt of the whole run.
     """
-    k = _left_limit_step(pre, scheme)
+    k = _impulse_step(pre.times[-1], scheme)
     h = _check_state(h, d, "h")
     n = scheme.n_steps
     keep = _strided(n, stride) | {k}

@@ -11,11 +11,10 @@ control region, and all inner products the weighted one (Lambda + eps I is
 self-adjoint positive definite only in that geometry).  The conjugate
 gradient iteration below works matrix-free: one application of Lambda (two
 propagations) per iteration; the functional it records is read off its
-residual.  The free flow of psi0 up to the impulse (``pre_impulse_flow``,
-which a caller solving for several penalties builds once and passes as
-``free``) holds the impulse's left limit; E(T) psi0 is marched from it over
-T - tau, and ``post_impulse_flow`` jumps it by the control and marches the
-final state.
+residual.  The impulsive run is marched by ``evolution`` alone: the free
+flow of psi0 up to the impulse (``pre_impulse_flow``) holds the impulse's
+left limit, E(T) psi0 is marched from it over T - tau, and
+``post_impulse_flow`` jumps it by the control and marches the final state.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import (TimeScheme, Trajectory, _check_state, _evolve_to, _impulse_step,
-                        _left_limit_step, _write_csv, evolve, post_impulse_flow,
-                        pre_impulse_flow, solve_impulsive, steps_for)
+from .evolution import (TimeScheme, _check_state, _evolve_to, _impulse_step, _write_csv,
+                        evolve, post_impulse_flow, pre_impulse_flow, solve_impulsive,
+                        steps_for)
 from .mesh import ConfigError, Discretization, State, SubdomainMask, inner, norm, subdomain_norm
 
 
@@ -220,41 +219,30 @@ def _solve(
     penalty: float,
     f0: Optional[State],
     kappa: Optional[float],
-    free: Optional[Trajectory],
 ) -> HumSolution:
     """Run CG on b = E(T) psi0, build the control obs_weight B E(T-tau) f,
     and take Psi(T) from :func:`post_impulse_flow` of the control on the
-    free flow ``free``, bit for bit the last state of
-    :func:`solve_impulsive`.  b is marched from the flow's left limit at
-    step k over the n - k steps after the impulse, bit for bit one march of
-    ``psi0`` over all n steps.
-
-    ``free`` must be :func:`pre_impulse_flow` of this ``psi0`` to
-    ``cfg.tau`` on this scheme, at any stride: it starts from ``psi0`` bit
-    for bit, ends at step k and carries no impulse.  Without it the flow is
-    marched here at stride n.  Every input is checked before any step.
+    free flow :func:`pre_impulse_flow` of ``psi0``, bit for bit the last
+    state of :func:`solve_impulsive`.  b is marched from the flow's left
+    limit at step k over the n - k steps after the impulse on the scheme's
+    grid, bit for bit one march of ``psi0`` over all n steps.  Every input
+    is checked before any step.
 
     As the control carries the observation weight, Psi(T) = b + obs_weight
     Lambda f up to roundoff, so penalty f + Psi(T) is the true residual at
     f.  ``converged`` also requires it (relative to |g_0|) to meet tol,
     because CG's recursive residual can drift below the true one.
     """
-    psi0 = _check_state(psi0, d, "psi0")
     if f0 is not None:
         f0 = _check_state(f0, d, "f0")
     k = _impulse_step(cfg.tau, scheme)
-    if free is None:
-        free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=scheme.n_steps)
-    elif _left_limit_step(free, scheme) != k:
-        raise ValueError(f"free ends at t={free.times[-1]}, not at tau={cfg.tau}")
-    elif free.states[0].tobytes() != psi0.tobytes():
-        raise ValueError("free does not start from psi0")
-    (b,) = _evolve_to(free.final_state, [(scheme.n_steps - k, scheme.dt)], d, scheme.theta)
+    pre = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=scheme.n_steps)
+    (b,) = _evolve_to(pre.final_state, [(scheme.n_steps - k, scheme.dt)], d, scheme.theta)
     f, residuals, functionals, iterations, converged, g0_norm = _run_cg(
         b, cfg, d, mask, scheme, obs_weight, penalty, f0
     )
     control = obs_weight * control_op(evolve(f, cfg.t_final - cfg.tau, d, scheme), mask)
-    final = post_impulse_flow(free, control, d, mask, scheme, stride=scheme.n_steps).final_state
+    final = post_impulse_flow(pre, control, d, mask, scheme, stride=scheme.n_steps).final_state
     true_residual = norm(penalty * f + final, d) / g0_norm if g0_norm else 0.0
     return HumSolution(
         minimizer=f,
@@ -293,21 +281,18 @@ def cg_solve(
     mask: SubdomainMask,
     scheme: TimeScheme,
     f0: Optional[State] = None,
-    free: Optional[Trajectory] = None,
 ) -> HumSolution:
     """Minimal-norm impulse control via CG on (Lambda + eps I) f = -E(T) psi0.
 
     On convergence the control is the masked propagation of the minimizer and
     the final state is marched after the impulse from the left limit that
-    ``free``, ``pre_impulse_flow(psi0, cfg.tau, d, scheme, stride)``, holds.
-    Several solves for one ``psi0`` can share it; when it is absent it is
-    built here, and a ``free`` that does not fit this call is rejected
-    before any step.  If the iteration cap is hit the best iterate is
-    returned with ``converged`` False, so partial sweeps stay reproducible.
+    ``pre_impulse_flow(psi0, cfg.tau, d, scheme)`` holds.  If the iteration
+    cap is hit the best iterate is returned with ``converged`` False, so
+    partial sweeps stay reproducible.
     """
     _check_horizon(cfg, scheme, "cg_solve")
     return _solve(psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon,
-                  f0=f0, kappa=None, free=free)
+                  f0=f0, kappa=None)
 
 
 def solve_cost_weighted(
@@ -317,10 +302,9 @@ def solve_cost_weighted(
     mask: SubdomainMask,
     scheme: TimeScheme,
     f0: Optional[State] = None,
-    free: Optional[Trajectory] = None,
 ) -> HumSolution:
     """Cost-weighted variant: CG on (kappa^2 Lambda + eps^2 I) f = -E(T) psi0
-    with control kappa^2 B E(T-tau) f; ``free`` as in :func:`cg_solve`.
+    with control kappa^2 B E(T-tau) f.
 
     At the exact minimizer the controlled final state equals -eps^2 times the
     minimizer, which makes the explicit cost bound checkable; see
@@ -333,7 +317,7 @@ def solve_cost_weighted(
     _check_horizon(cfg, scheme, "solve_cost_weighted")
     kappa = cfg.kappa if cfg.kappa is not None else 1.0 / cfg.epsilon
     return _solve(psi0, cfg, d, mask, scheme, obs_weight=kappa**2,
-                  penalty=cfg.epsilon**2, f0=f0, kappa=kappa, free=free)
+                  penalty=cfg.epsilon**2, f0=f0, kappa=kappa)
 
 
 def duality_residual(

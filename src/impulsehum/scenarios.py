@@ -111,7 +111,7 @@ def _write_cell(out: Path, cfg: ExperimentConfig, d, mask, scheme, free,
     snapshot stride), ``control.csv`` and ``report.json`` into ``out``.
 
     ``free`` is the scenario's :func:`pre_impulse_flow` at that stride,
-    shared by every solve and cell; only the flow after the impulse is marched and
+    shared by every cell; only the flow after the impulse is marched and
     formatted here, and the file keeps the bytes of
     ``solve_impulsive(...).to_csv``."""
     post = post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
@@ -134,23 +134,22 @@ def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, H
     """One impulse-controlled solve at the given penalty."""
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
+    sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme)
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
-    sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme, free=free)
     _write_cell(_scenario_dir(cfg, "controlled"), cfg, d, mask, scheme, free, sol)
     row = _row(sol)
     fields = {**row.to_dict(), "initial_norm": sol.initial_norm}
     return _write_summary(cfg, "controlled", t0, fields, (row,)), sol
 
 
-def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0, free):
-    """One CG solve per penalty, largest first, all on the free flow
-    ``free``, yielding (row, solution).
+def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
+    """One CG solve per penalty, largest first, yielding (row, solution).
 
     A CG breakdown yields a partial row carrying the error and no solution.
     """
     for eps in sorted(cfg.epsilons, reverse=True):
         try:
-            sol = cg_solve(psi0, make_hum_config(cfg, eps), d, mask, scheme, free=free)
+            sol = cg_solve(psi0, make_hum_config(cfg, eps), d, mask, scheme)
         except CgBreakdownError as exc:
             yield Table1Row(eps, 0, float("nan"), float("nan"), False, str(exc)), None
             continue
@@ -161,8 +160,7 @@ def run_table1(cfg: ExperimentConfig) -> RunSummary:
     """Penalty sweep reported as one compact table."""
     t0 = time.perf_counter()
     grid, d, mask, scheme, psi0 = _setup(cfg)
-    free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=scheme.n_steps)
-    solves = list(_penalty_solves(cfg, d, mask, scheme, psi0, free))
+    solves = list(_penalty_solves(cfg, d, mask, scheme, psi0))
     rows = [row for row, _ in solves]
     report = {repr(row.epsilon): solution_to_dict(sol)
               for row, sol in solves if sol is not None}
@@ -177,7 +175,7 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
     out = _scenario_dir(cfg, "sweep")
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
     rows = []
-    for i, (row, sol) in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0, free)):
+    for i, (row, sol) in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
         rows.append(row)
         cell = out / f"cell{i:02d}_eps_{row.epsilon:g}"
         cell.mkdir(parents=True, exist_ok=True)

@@ -274,10 +274,10 @@ def breakdown_at_1e_3(monkeypatch):
     """Make the scenarios' CG solve break down at epsilon = 1e-3."""
     real = scenarios.cg_solve
 
-    def flaky(psi0, cfg, d, mask, scheme, **kw):
+    def flaky(psi0, cfg, d, mask, scheme):
         if cfg.epsilon == 1e-3:
             raise CgBreakdownError("forced")
-        return real(psi0, cfg, d, mask, scheme, **kw)
+        return real(psi0, cfg, d, mask, scheme)
 
     monkeypatch.setattr(scenarios, "cg_solve", flaky)
 
@@ -309,13 +309,14 @@ def test_breakdown_summary_is_valid_json(tmp_path, breakdown_at_1e_3):
         assert rows[1]["error"] == "forced" and rows[0]["final_norm"] > 0.0
 
 
-def test_default_scenarios_share_one_free_flow(tmp_path, step_count):
-    # With n = 200 steps and the impulse at k = 100, each call marches psi0
-    # to the impulse once (k steps) and every solve marches b, the control
-    # and the final state over the n - k steps after it.
+def test_default_scenario_step_counts(tmp_path, step_count):
+    # With n = 200 steps and the impulse at k = 100, every solve marches psi0
+    # to the impulse (k steps) and b, each CG propagation, the control and
+    # the final state over the n - k steps after it; the CSV scenarios march
+    # psi0 to the impulse once more for the rows they share.
     cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
-    for call, steps in ((lambda: run_controlled(cfg, 1e-2), 1300), (lambda: run_table1(cfg), 3600),
-                        (lambda: run_sweep(cfg), 3900)):
+    for call, steps in ((lambda: run_controlled(cfg, 1e-2), 1400), (lambda: run_table1(cfg), 3800),
+                        (lambda: run_sweep(cfg), 4200)):
         step_count[0] = 0
         call()
         assert step_count[0] == steps

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +17,6 @@ from impulsehum import (
     inner,
     norm,
     penalized_objective,
-    pre_impulse_flow,
     solve_cost_weighted,
     solve_impulsive,
     solution_to_dict,
@@ -230,9 +227,10 @@ def test_true_residual_and_final_state(solver, setup25):
     t_final=st.just(0.02),
 )
 # A horizon one ulp past the scheme's passes the horizon check, but its step
-# differs from the scheme's (exactly so for a power-of-two step count).  The
-# solvers march b from the impulse's left limit on the scheme's grid, so it
-# differs from the b below, marched at the horizon's own step, by roundoff.
+# differs from the scheme's (exactly so for a power-of-two step count).  This
+# pins that the solvers take b from the impulse's left limit on the scheme's
+# grid: it differs from the b below, marched at the horizon's own step, by
+# roundoff only.
 @example(nx=7, method="crank_nicolson", n_steps=16, k_frac=0.5, log_eps=-2.0, seed=3,
          t_final=float(np.nextafter(0.02, np.inf)))
 def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, seed, t_final):
@@ -260,58 +258,17 @@ def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, se
 def test_one_free_march_per_solve(step_count, setup25):
     # psi0 is marched to step k = tau / dt, the impulse's left limit, and b
     # from there over the n - k steps after it; each CG iteration, the
-    # control and the final state take n - k steps per propagation.  A free
-    # flow passed in saves the k steps before the impulse.
+    # control and the final state take n - k steps per propagation.
     _, d, mask, scheme, psi0 = setup25
     sol = cg_solve(psi0, _cfg(1e-2), d, mask, scheme)
     n, k = scheme.n_steps, 100
     assert step_count[0] == k + (n - k) + 2 * (n - k) * sol.iterations + 2 * (n - k) == 1200
-    pre = pre_impulse_flow(psi0, 0.01, d, scheme)
-    step_count[0] = 0
-    cg_solve(psi0, _cfg(1e-2), d, mask, scheme, free=pre)
-    assert step_count[0] == 1200 - k
 
 
 def test_off_grid_tau_rejected_before_marching(step_count, setup25):
     _, d, mask, scheme, psi0 = setup25
     with pytest.raises(ValueError, match="off the time grid"):
         cg_solve(psi0, HumConfig(epsilon=1e-2, tau=0.010003, t_final=0.02), d, mask, scheme)
-    assert step_count[0] == 0
-
-
-@pytest.mark.parametrize("solver", [cg_solve, solve_cost_weighted])
-@pytest.mark.parametrize("stride", [1, 7, 200])
-@pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
-def test_shared_free_flow_changes_no_bit(method, stride, solver, setup25):
-    _, d, mask, _, psi0 = setup25
-    scheme = TimeScheme(0.02, 200, method)
-    cfg = _cfg(1e-3)
-    pre = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=stride)
-    alone = solver(psi0, cfg, d, mask, scheme)
-    shared = solver(psi0, cfg, d, mask, scheme, free=pre)
-    for field in dataclasses.fields(alone):
-        a, b = getattr(alone, field.name), getattr(shared, field.name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
-        else:
-            assert a == b, field.name
-
-
-@pytest.mark.parametrize("build,match", [
-    (lambda psi0, d, mask, scheme: pre_impulse_flow(2.0 * psi0, 0.01, d, scheme),
-     "does not start from psi0"),
-    (lambda psi0, d, mask, scheme: pre_impulse_flow(psi0, 0.005, d, scheme), "not at tau"),
-    (lambda psi0, d, mask, scheme: solve_impulsive(psi0, 0 * psi0, 0.01, d, mask, scheme),
-     "impulsive trajectory"),
-], ids=["other-psi0", "other-tau", "impulsive"])
-@pytest.mark.parametrize("solver", [cg_solve, solve_cost_weighted])
-def test_mismatched_free_flow_rejected_before_marching(solver, build, match, step_count,
-                                                       setup25):
-    _, d, mask, scheme, psi0 = setup25
-    free = build(psi0, d, mask, scheme)
-    step_count[0] = 0
-    with pytest.raises(ValueError, match=match):
-        solver(psi0, _cfg(1e-2), d, mask, scheme, free=free)
     assert step_count[0] == 0
 
 
