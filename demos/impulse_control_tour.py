@@ -47,11 +47,11 @@ print(
     f"|h| = {sol.control_norm:.4f}, controlled |Psi(T)| = {sol.final_norm:.6f}"
 )
 
-# the jump is visible in the trajectory around tau
+# the jump is visible in the trajectory: tau is stored twice, left limit first
 traj = solve_impulsive(psi0, sol.control, tau, disc, mask, scheme, stride=20)
-i_tau = traj.impulse_index
-print(f"norm just before the impulse: {norm(traj.pre_impulse_state, disc):.6f}")
-print(f"norm just after the impulse:  {norm(traj.states[i_tau], disc):.6f}")
+(j,) = np.flatnonzero(np.diff(traj.times) == 0.0)
+print(f"norm just before the impulse: {norm(traj.states[j], disc):.6f}")
+print(f"norm just after the impulse:  {norm(traj.states[j + 1], disc):.6f}")
 
 # 3. penalty sweep
 print("\npenalty sweep:")

@@ -205,15 +205,22 @@ def frequency(traj: Trajectory, wp: WeightParams, d: Discretization) -> Convexit
     ``freq_oracle`` is -d/dt log |F| obtained by differencing the stored
     norms, i.e. the decay rate the trajectory actually exhibits.  The two
     agree up to discretization error for smooth data.
+
+    Raises ValueError unless the times strictly increase, or where |F| first
+    vanishes: a ConfigError naming ``hbar`` if the state there is nonzero.
     """
-    if traj.impulse_index is not None:
-        raise ValueError("frequency expects an uncontrolled trajectory")
+    if not np.all(np.diff(traj.times) > 0):
+        raise ValueError("frequency expects strictly increasing times")
     f = weighted_state(traj.states, traj.times, wp, d)
     # |F|^2 per snapshot, each the weighted inner product of its own row.
     nf2 = np.array([np.dot(r, d.w) for r in f * f])
     vanished = np.flatnonzero(nf2 <= 0.0)
     if vanished.size:
-        raise ValueError(f"frequency undefined: |F| vanishes at t={traj.times[vanished[0]]}")
+        j = vanished[0]
+        message = f"frequency undefined: |F| vanishes at t={traj.times[j]}"
+        if inner(traj.states[j], traj.states[j], d) > 0.0:
+            raise ConfigError("hbar", f"{message} although |U| > 0: exp(Phi/2) underflows")
+        raise ValueError(message)
     norm_f = np.sqrt(nf2)
     direct = _frequency_direct(f, traj.times, nf2, wp, d)
     oracle = -0.5 * np.gradient(np.log(norm_f**2), traj.times)

@@ -170,16 +170,14 @@ def steps_for(t: float, scheme: TimeScheme) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Stored snapshots of one run; ``states[impulse_index]`` is post-jump.
+    """Stored snapshots of one run, one row per snapshot in time order.
 
-    The left limit at the impulse time is kept separately so that both sides
-    of the jump survive in exports.
+    An impulsive run holds its impulse time twice: the left limit first,
+    then the post-jump state.
     """
 
     times: np.ndarray
     states: np.ndarray
-    impulse_index: Optional[int] = None
-    pre_impulse_state: Optional[np.ndarray] = None
 
     @property
     def final_state(self) -> State:
@@ -193,15 +191,10 @@ class Trajectory:
         return tuple(_csv_lines(self._table()))
 
     def _table(self) -> np.ndarray:
-        table = np.column_stack([self.times, self.states])
-        j = self.impulse_index
-        if j is not None:
-            table = np.insert(table, j, np.r_[self.times[j], self.pre_impulse_state], axis=0)
-        return table
+        return np.column_stack([self.times, self.states])
 
     def to_csv(self, path, head: Optional["Trajectory"] = None) -> None:
-        """Write rows t, x_0..x_nx; the impulse time appears twice (left
-        limit first, then the post-jump state).
+        """Write rows t, x_0..x_nx, one per snapshot.
 
         With ``head``, its rows (:attr:`_csv_rows`) come first, so
         ``post_impulse_flow(pre, ...).to_csv(path, head=pre)`` writes the
@@ -385,16 +378,12 @@ def solve_impulsive(
     The state evolves freely on [0, tau), jumps by the masked control
     (boundary entries are left untouched), then evolves freely to t_final.
     By linearity the final state equals evolve(psi0, t_final) +
-    evolve(mask * h, t_final - tau).  This joins :func:`pre_impulse_flow`
-    and :func:`post_impulse_flow`; several controls for one ``psi0`` can
-    share the first.
+    evolve(mask * h, t_final - tau).  Its rows are those of
+    :func:`pre_impulse_flow` then :func:`post_impulse_flow`, so tau appears
+    twice, left limit first; several controls for one ``psi0`` can share
+    the first.
     """
     pre = pre_impulse_flow(psi0, tau, d, scheme, stride)
     post = post_impulse_flow(pre, h, d, mask, scheme, stride)
-    j = len(pre.times) - 1
-    return Trajectory(
-        times=np.concatenate([pre.times[:j], post.times]),
-        states=np.concatenate([pre.states[:j], post.states]),
-        impulse_index=j,
-        pre_impulse_state=pre.final_state.copy(),
-    )
+    return Trajectory(times=np.concatenate([pre.times, post.times]),
+                      states=np.concatenate([pre.states, post.states]))

@@ -199,6 +199,8 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     traj = evolve_trajectory(psi0, d, scheme, stride=cfg.snapshot_stride)
     try:
         freq = cvx.frequency(traj, wp, d)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError("psi0_kind", str(exc)) from exc
     mid = len(freq.times) // 2

@@ -381,6 +381,16 @@ def test_cli_convexity_zero_state_is_config_error(tmp_path, capsys):
     assert err.value.field == "psi0_kind"
 
 
+def test_cli_convexity_underflowing_weight_names_hbar(tmp_path, capsys):
+    # With hbar = 1e-7, exp(Phi/2) underflows at t = T on every node of the
+    # default grid while the sine datum's state there is nonzero.
+    cfg = tmp_path / "hbar.json"
+    cfg.write_text(json.dumps({"hbar": 1e-7}))
+    assert main(["convexity", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'hbar'" in err and "vanishes at t=0.02" in err and "psi0_kind" not in err
+
+
 def test_cli_summary_byte_identical(tmp_path):
     out = tmp_path / "runs"
     argv = ["table1", "--out", str(out), "--epsilon", "1e-2,1e-3", "--seed", "5"]

@@ -20,6 +20,8 @@ from impulsehum import (
     fit_observability,
     frequency,
     norm,
+    post_impulse_flow,
+    pre_impulse_flow,
     random_smooth_state,
     solve_impulsive,
     split_constants,
@@ -188,9 +190,17 @@ def test_frequency_cross_check_halves_under_refinement():
 
 def test_frequency_rejects_bad_input(setup25):
     _, d, mask, scheme, psi0 = setup25
-    traj = solve_impulsive(psi0, np.ones(26), 0.01, d, mask, scheme)
-    with pytest.raises(ValueError):
-        frequency(traj, WP, d)
+    # An impulsive run stores tau twice, whether solve_impulsive joins its
+    # two flows or they are joined by hand; reversed times also fail.
+    pre = pre_impulse_flow(psi0, 0.01, d, scheme)
+    post = post_impulse_flow(pre, np.ones(26), d, mask, scheme)
+    joined = Trajectory(times=np.concatenate([pre.times, post.times]),
+                        states=np.concatenate([pre.states, post.states]))
+    free = evolve_trajectory(psi0, d, scheme, stride=20)
+    reversed_ = Trajectory(times=free.times[::-1], states=free.states[::-1])
+    for traj in (solve_impulsive(psi0, np.ones(26), 0.01, d, mask, scheme), joined, reversed_):
+        with pytest.raises(ValueError, match="strictly increasing times"):
+            frequency(traj, WP, d)
     zero_traj = evolve_trajectory(np.zeros(26), d, scheme)
     with pytest.raises(ValueError, match=r"\|F\| vanishes at t=0.0"):
         frequency(zero_traj, WP, d)

@@ -119,9 +119,10 @@ def test_stepping_matches_reference_loop(nx, method):
         k = round(0.01 / scheme.dt)
         ref, pre = reference_march(u, d, n_steps, scheme.dt, scheme.theta, k, mask.mask * h)
         imp = solve_impulsive(u, h, 0.01, d, mask, scheme)
-        assert imp.impulse_index == k
-        assert np.array_equal(imp.states, ref)
-        assert np.array_equal(imp.pre_impulse_state, pre)
+        # tau is stored twice: the left limit (row k), then the jump
+        assert np.array_equal(imp.times, np.insert(np.arange(n_steps + 1), k, k) * scheme.dt)
+        assert np.array_equal(imp.states, np.insert(ref, k, pre, axis=0))
+        assert np.array_equal(imp.states[k], pre)
 
 
 @pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
@@ -231,8 +232,7 @@ def test_march_keeps_only_requested_steps(setup25):
     assert traj.states.shape == (3, 26, 3)
     # a replay that reads only the final state keeps the ends and the jump
     imp = solve_impulsive(psi0, np.ones(26), 0.01, d, mask, scheme, stride=200)
-    np.testing.assert_array_equal(imp.times, np.array([0, 100, 200]) * scheme.dt)
-    assert imp.impulse_index == 1
+    np.testing.assert_array_equal(imp.times, np.array([0, 100, 100, 200]) * scheme.dt)
     traj = evolve_trajectory(psi0, d, scheme, stride=37)
     assert len(traj.times) == len(range(0, 201, 37)) + 1
 
@@ -293,17 +293,19 @@ def test_impulsive_zero_control_matches_free(setup25):
     traj = solve_impulsive(psi0, np.zeros(26), 0.01, d, mask, scheme)
     free = evolve_trajectory(psi0, d, scheme)
     np.testing.assert_allclose(traj.states[-1], free.states[-1], rtol=1e-13, atol=1e-15)
-    np.testing.assert_array_equal(traj.states[traj.impulse_index], traj.pre_impulse_state)
+    # a zero control leaves both rows at tau (step 100) equal
+    np.testing.assert_array_equal(traj.times[100:102], [0.01, 0.01])
+    np.testing.assert_array_equal(traj.states[100], traj.states[101])
 
 
 def test_impulsive_stride_keeps_impulse_off_stride(setup25):
     # k = 100 is not a multiple of the stride: both sides of the jump are kept
     _, d, mask, scheme, psi0 = setup25
     traj = solve_impulsive(psi0, np.zeros(26), 0.01, d, mask, scheme, stride=7)
-    kept = [*range(0, 100, 7), 100, *range(105, 200, 7), 200]
+    kept = [*range(0, 100, 7), 100, 100, *range(105, 200, 7), 200]
     np.testing.assert_array_equal(traj.times, np.array(kept) * scheme.dt)
-    assert traj.impulse_index == kept.index(100)
-    np.testing.assert_array_equal(traj.pre_impulse_state, traj.states[traj.impulse_index])
+    j = kept.index(100)
+    np.testing.assert_array_equal(traj.states[j], traj.states[j + 1])
     assert np.array_equal(traj.final_state, evolve(psi0, 0.02, d, scheme))
 
 
@@ -346,15 +348,15 @@ def test_trajectory_csv(tmp_path, setup25):
     traj.to_csv(path)
     lines = path.read_text().strip().split("\n")
     assert lines[0].split(",")[:2] == ["t", "x_0"]
-    # one row per stored time plus the duplicated impulse row
-    assert len(lines) == 1 + len(traj.times) + 1
+    # one row per stored snapshot; tau is stored twice
+    assert len(lines) == 1 + len(traj.times)
     times = [float(l.split(",")[0]) for l in lines[1:]]
     assert sum(abs(t - 0.01) < 1e-12 for t in times) == 2
-    # every value reads back exactly; the left limit precedes the jump
-    j = traj.impulse_index
+    # every value reads back exactly, the left limit first
     expected = [[t, *s] for t, s in zip(traj.times, traj.states)]
-    expected.insert(j, [traj.times[j], *traj.pre_impulse_state])
     assert [[float(v) for v in l.split(",")] for l in lines[1:]] == expected
+    j = times.index(0.01)
+    assert expected[j][1:] == [*pre_impulse_flow(psi0, 0.01, d, scheme).final_state]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -381,12 +383,14 @@ def test_split_write_bytes_equal_solve_impulsive(tmp_path_factory, nx, method, n
     out = tmp_path_factory.mktemp("split")
     pre = pre_impulse_flow(psi0, tau, d, scheme, stride)
     kept = sorted({*range(0, n_steps + 1, stride), k, n_steps})
+    j = kept.index(k)
     for i, h in enumerate(controls):
         whole = solve_impulsive(psi0, h, tau, d, mask, scheme, stride)
         ref, left = reference_march(psi0, d, n_steps, scheme.dt, scheme.theta, k, mask.mask * h)
-        assert np.array_equal(whole.times, np.array(kept) * scheme.dt)
-        assert np.array_equal(whole.states, ref[kept])
-        assert np.array_equal(whole.pre_impulse_state, left)
+        # step k is stored twice, the left limit first
+        assert np.array_equal(whole.times, np.insert(kept, j, k) * scheme.dt)
+        assert np.array_equal(whole.states, np.insert(ref[kept], j, left, axis=0))
+        assert np.array_equal(whole.states[j], left)
         whole.to_csv(out / f"whole{i}.csv")
         post_impulse_flow(pre, h, d, mask, scheme, stride).to_csv(out / f"split{i}.csv",
                                                                   head=pre)

@@ -440,3 +440,43 @@ def test_horizon_mismatch_rejected(setup25):
         solve_cost_weighted(psi0, cfg, d, mask, scheme)
     with pytest.raises(ValueError, match="horizon"):
         duality_residual(psi0, np.zeros(26), psi0, cfg, d, mask, scheme)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(-2.0, 2.0),
+    length=st.floats(0.1, 5.0),
+    nx=st.integers(2, 200),
+    method=st.sampled_from(["crank_nicolson", "backward_euler"]),
+    n_steps=st.integers(2, 60),
+    t_final=st.floats(1e-3, 0.1),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_structural_invariants_on_random_grids(a, length, nx, method, n_steps, t_final, data,
+                                               seed):
+    # K symmetry, semigroup adjointness and contraction, the duality
+    # identity and Gramian symmetry / PSD, each to roundoff relative to the
+    # norms involved, on a random bar, window omega and impulse step k.
+    grid = Grid(a, a + length, nx)
+    d = build_discretization(grid)
+    lo = data.draw(st.integers(1, nx - 1), label="omega_lo node")
+    hi = data.draw(st.integers(lo, nx - 1), label="omega_hi node")
+    x, dx = grid.nodes, grid.dx
+    mask = subdomain_mask(grid, x[lo] - 0.3 * dx, x[hi] + 0.3 * dx)
+    scheme = TimeScheme(t_final, n_steps, method)
+    k = data.draw(st.integers(1, n_steps - 1), label="k")
+    cfg = HumConfig(epsilon=1e-2, tau=k * scheme.dt, t_final=t_final)
+    u, v, psi0, h, zeta0 = np.random.default_rng(seed).standard_normal((5, nx + 1))
+    tol = 1e-12
+
+    assert np.array_equal(d.k_matrix, d.k_matrix.T)
+    for t in (cfg.tau, t_final):
+        eu, ev = evolve(np.column_stack([u, v]), t, d, scheme).T
+        assert abs(inner(eu, v, d) - inner(u, ev, d)) <= tol * norm(u, d) * norm(v, d)
+        assert norm(eu, d) <= (1.0 + tol) * norm(u, d)
+    residual = duality_residual(psi0, h, zeta0, cfg, d, mask, scheme)
+    assert residual <= tol * norm(zeta0, d) * (norm(psi0, d) + norm(h, d))
+    lu, lv = (gramian_apply(w, cfg, d, mask, scheme) for w in (u, v))
+    assert abs(inner(lu, v, d) - inner(u, lv, d)) <= tol * norm(u, d) * norm(v, d)
+    assert inner(lu, u, d) >= -tol * norm(u, d) ** 2
