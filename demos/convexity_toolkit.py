@@ -58,7 +58,8 @@ print(f"calibrated pair:  M_ell = {c.m_ell:.4f}, D_ell = {c.d_ell:.2f}")
 slacks = []
 for seed in range(20):
     w0 = random_smooth_state(grid, SplitMix64(seed))
-    chk = three_point_check(w0, wp3, t1, t2, t3, disc, scheme, constants=c)
+    flow = [evolve(w0, t, disc, scheme) for t in (t1, t2, t3)]
+    chk = three_point_check(flow, (t1, t2, t3), wp3, disc, scheme, constants=c)
     slacks.append(chk.slack)
 print(f"three-point slack over 20 random smooth states: min = {min(slacks):.2f} (>= 0)")
 
@@ -81,9 +82,10 @@ print(
 )
 
 # the split form the fit implies, for a few penalties
+finals = [evolve(w0, scheme.t_final, disc, scheme) for w0 in states[:5]]
 worst = min(
-    epsilon_split_slack(w0, eps, fit, disc, mask, scheme)
-    for w0 in states[:5]
+    epsilon_split_slack(w0, fin, eps, fit, disc, mask, scheme.t_final)
+    for w0, fin in zip(states[:5], finals)
     for eps in (1.0, 0.1, 0.01)
 )
 print(f"split-form slack (should be >= 0): worst = {worst:.3e}")

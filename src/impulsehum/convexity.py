@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .evolution import TimeScheme, Trajectory, _evolve_to, _write_csv, evolve, steps_for
+from .evolution import TimeScheme, Trajectory, _write_csv
 from .mesh import (
     ConfigError, Discretization, Grid, State, SubdomainMask, inner, subdomain_norm,
 )
@@ -206,9 +206,12 @@ def frequency(traj: Trajectory, wp: WeightParams, d: Discretization) -> Convexit
     norms, i.e. the decay rate the trajectory actually exhibits.  The two
     agree up to discretization error for smooth data.
 
-    Raises ValueError unless the times strictly increase, or where |F| first
-    vanishes: a ConfigError naming ``hbar`` if the state there is nonzero.
+    Raises ValueError unless there are at least two snapshots at strictly
+    increasing times, or where |F| first vanishes: a ConfigError naming
+    ``hbar`` if the state there is nonzero.
     """
+    if len(traj.times) < 2:
+        raise ValueError(f"frequency needs at least two snapshots, got {len(traj.times)}")
     if not np.all(np.diff(traj.times) > 0):
         raise ValueError("frequency expects strictly increasing times")
     f = weighted_state(traj.states, traj.times, wp, d)
@@ -241,22 +244,25 @@ class ThreePointCheck:
 
 
 def three_point_check(
-    u0: State,
+    states: Sequence[State],
+    times: Sequence[float],
     wp: WeightParams,
-    t1: float,
-    t2: float,
-    t3: float,
     d: Discretization,
     scheme: TimeScheme,
     constants: Optional[ConvexityConstants] = None,
 ) -> ThreePointCheck:
     """Evaluate M log|F(t1)|^2 + log|F(t3)|^2 + D - (1+M) log|F(t2)|^2.
 
-    The inequality holds in the continuum, so the pass threshold allows a
-    discretization margin of 5 (dx + dt) times the magnitude of the logs on
-    top of a 1e-6 floor.  Constants may be supplied externally (useful for
-    the degenerate s = 0 weight mode, where they are not defined).
+    ``states`` are one free flow's states at ``times = (t1, t2, t3)``, e.g.
+    ``[evolve(u0, t, d, scheme) for t in times]``.  The inequality holds in
+    the continuum, so the pass threshold allows a discretization margin of
+    5 (dx + dt) times the magnitude of the logs on top of a 1e-6 floor.
+    Constants may be supplied externally (useful for the degenerate s = 0
+    weight mode, where they are not defined).
     """
+    if not len(states) == len(times) == 3:
+        raise ValueError(f"need three states at three times, got {len(states)} and {len(times)}")
+    t1, t2, t3 = times
     if not 0.0 < t1 < t2 < t3 <= scheme.t_final:
         raise ValueError(f"need 0 < t1 < t2 < t3 <= {scheme.t_final}, got ({t1}, {t2}, {t3})")
     if constants is None:
@@ -264,22 +270,6 @@ def three_point_check(
         m, d_const = _three_point_constants(wp, c_const, c0, t1, t2, t3)
     else:
         m, d_const = constants.m_three_point, constants.d_three_point
-    times = (t1, t2, t3)
-    states = _evolve_to(u0, [steps_for(t, scheme) for t in times], d, scheme.theta)
-    return _three_point(states, times, m, d_const, wp, d, scheme)
-
-
-def _three_point(
-    states: Sequence[State],
-    times: Sequence[float],
-    m: float,
-    d_const: float,
-    wp: WeightParams,
-    d: Discretization,
-    scheme: TimeScheme,
-) -> ThreePointCheck:
-    """``three_point_check`` for a free flow whose states at the three
-    ``times`` are already known."""
     logs = []
     for u, t in zip(states, times):
         f = weighted_state(u, t, wp, d)
@@ -335,14 +325,18 @@ def fit_observability(samples: Sequence[ObservabilitySample]) -> ObservabilityFi
     A constrained linear fit in log variables (beta clipped to [0.01, 0.99],
     K nonnegative) is followed by an upward shift of the offset so the bound
     becomes a true envelope of every sample; the inequality only asserts
-    existence of such constants, not their values.
+    existence of such constants, not their values.  Raises ValueError for
+    fewer than 10 samples, or for a sample whose horizon or norms are not
+    finite and positive.
     """
     if len(samples) < 10:
         raise ValueError(f"need at least 10 samples, got {len(samples)}")
     arr = np.array(samples, dtype=float)
     t, n0, nw, nt = arr.T
-    if not (np.all(n0 > 0) and np.all(nw > 0) and np.all(nt > 0)):
-        raise ValueError("degenerate sample: all three norms must be positive")
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise ValueError("degenerate sample: every t_final must be finite and positive")
+    if not np.all(np.isfinite(arr[:, 1:]) & (arr[:, 1:] > 0)):
+        raise ValueError("degenerate sample: all three norms must be finite and positive")
     y = np.log(nt) - np.log(n0)
     design = np.column_stack([np.log(nw) - np.log(n0), 1.0 / t, np.ones(len(t))])
     res = lsq_linear(
@@ -387,45 +381,28 @@ def split_constants(fit: ObservabilityFit) -> tuple[float, float, float]:
 
 def epsilon_split_slack(
     theta0: State,
+    final: State,
     epsilon: float,
     fit: ObservabilityFit,
     d: Discretization,
     mask: SubdomainMask,
-    scheme: TimeScheme,
+    t_final: float,
 ) -> float:
     """Slack of |Th(T)|^2 <= (M1 e^{M2/T} / eps^delta)^2 |th(T)|_omega^2
-    + eps^2 |Th(0)|^2 for the free flow started at ``theta0``.
+    + eps^2 |Th(0)|^2 for the free flow started at ``theta0``, whose state
+    at ``T = t_final`` is ``final`` (e.g. ``evolve(theta0, T, d, scheme)``).
 
     Nonnegative slack is implied by the fitted interpolation bound holding on
     the same data; for eps >= 1 it already follows from the contraction.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    final = evolve(theta0, scheme.t_final, d, scheme)
-    return _split_slacks([theta0], [final], [epsilon], fit, d, mask, scheme.t_final)[0]
-
-
-def _split_slacks(
-    theta0s: Sequence[State],
-    finals: Sequence[State],
-    epsilons: Sequence[float],
-    fit: ObservabilityFit,
-    d: Discretization,
-    mask: SubdomainMask,
-    t_final: float,
-) -> list[float]:
-    """``epsilon_split_slack`` for free flows whose states at ``t_final``
-    are already known, by epsilon and then by flow."""
     m1, m2, delta = split_constants(fit)
-    norms = [(inner(v, v, d), subdomain_norm(v, mask, d) ** 2, inner(u, u, d))
-             for u, v in zip(theta0s, finals)]
-    slacks = []
-    for epsilon in epsilons:
-        with np.errstate(over="ignore"):
-            coef = (m1 * np.exp(m2 / t_final) / epsilon**delta) ** 2
-        slacks += [float(coef * observed + epsilon**2 * start - lhs)
-                   for lhs, observed, start in norms]
-    return slacks
+    with np.errstate(over="ignore"):
+        coef = (m1 * np.exp(m2 / t_final) / epsilon**delta) ** 2
+    observed = subdomain_norm(final, mask, d) ** 2
+    return float(coef * observed + epsilon**2 * inner(theta0, theta0, d)
+                 - inner(final, final, d))
 
 
 def write_frequency_csv(report: ConvexityReport, path) -> None:

@@ -78,7 +78,10 @@ class RunSummary:
 
 def _scenario_dir(cfg: ExperimentConfig, scenario: str) -> Path:
     out = Path(cfg.out_dir) / scenario
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"cannot create {out}: {exc.strerror}") from exc
     return out
 
 
@@ -219,8 +222,8 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
         steps_for(h, TimeScheme(h, n, cfg.method)) for h, n in horizons
     ]
     at = _evolve_to(np.column_stack(states), targets, d, scheme.theta)
-    checks = [cvx._three_point([block[:, i] for block in at[:3]], times,
-                               constants.m_three_point, constants.d_three_point, wp, d, scheme)
+    checks = [cvx.three_point_check([block[:, i] for block in at[:3]], times, wp, d, scheme,
+                                    constants)
               for i in range(n_seeds)]
     finals = [(h, block) for (h, _), block in zip(horizons, at[3:])]
     initials = [norm(u0, d) for u0 in states]
@@ -237,8 +240,8 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     fit = cvx.fit_observability(samples)
     # The 1x horizon runs the configured scheme, so its block already holds
     # each state at t_final.
-    split_slacks = cvx._split_slacks(states[:5], at[3][:, :5].T, (1.0, 0.1, 0.01), fit, d,
-                                     mask, cfg.t_final)
+    split_slacks = [cvx.epsilon_split_slack(u0, at[3][:, i], eps, fit, d, mask, cfg.t_final)
+                    for eps in (1.0, 0.1, 0.01) for i, u0 in enumerate(states[:5])]
 
     out = _scenario_dir(cfg, "convexity")
     cvx.write_frequency_csv(freq, out / "frequency.csv")

@@ -364,7 +364,8 @@ def test_criterion_7_convexity_suite():
     tp_ok = True
     for seed in range(20):
         u0 = random_smooth_state(grid, SplitMix64(seed))
-        chk = three_point_check(u0, wp_tp, t1, t2, t3, d, scheme, constants=constants)
+        states = [evolve(u0, t, d, scheme) for t in (t1, t2, t3)]
+        chk = three_point_check(states, (t1, t2, t3), wp_tp, d, scheme, constants=constants)
         min_slack = min(min_slack, chk.slack)
         tp_ok &= chk.slack >= -chk.tolerance
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,9 @@ def test_frequency_rejects_bad_input(setup25):
     zero_traj = evolve_trajectory(np.zeros(26), d, scheme)
     with pytest.raises(ValueError, match=r"\|F\| vanishes at t=0.0"):
         frequency(zero_traj, WP, d)
+    one_row = Trajectory(times=free.times[:1], states=free.states[:1])
+    with pytest.raises(ValueError, match="at least two snapshots, got 1"):
+        frequency(one_row, WP, d)
 
 
 @pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
@@ -256,9 +261,9 @@ def test_three_point_constant_state_slack_is_offset():
     wp_flat = WeightParams(x0=0.5, s=0.0, hbar=0.004, t_final=0.02)
     wp_ref = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
     constants = convexity_constants(wp_ref, grid, 2.0, 0.004, 0.012, 0.02)
-    chk = three_point_check(
-        np.full(26, 1.7), wp_flat, 0.004, 0.012, 0.02, d, scheme, constants=constants
-    )
+    times = (0.004, 0.012, 0.02)
+    states = [evolve(np.full(26, 1.7), t, d, scheme) for t in times]
+    chk = three_point_check(states, times, wp_flat, d, scheme, constants=constants)
     # equal norms at the three times leave exactly the additive constant
     assert chk.slack == pytest.approx(constants.d_three_point, rel=1e-10)
     assert chk.passed
@@ -267,7 +272,10 @@ def test_three_point_constant_state_slack_is_offset():
 def test_three_point_rejects_degenerate_triple(setup25):
     _, d, _, scheme, psi0 = setup25
     with pytest.raises(ValueError):
-        three_point_check(psi0, WP, 0.01, 0.01, 0.02, d, scheme)
+        three_point_check([psi0] * 3, (0.01, 0.01, 0.02), WP, d, scheme)
+    # one state per time: a block of states as columns is not three states
+    with pytest.raises(ValueError, match="three states at three times"):
+        three_point_check(np.column_stack([psi0] * 3), (0.005, 0.01, 0.02), WP, d, scheme)
 
 
 def test_three_point_ensemble_nonnegative():
@@ -279,7 +287,8 @@ def test_three_point_ensemble_nonnegative():
     constants = convexity_constants(wp, grid, 2.0, t1, t2, t3)
     for seed in range(20):
         u0 = random_smooth_state(grid, SplitMix64(seed))
-        chk = three_point_check(u0, wp, t1, t2, t3, d, scheme, constants=constants)
+        states = [evolve(u0, t, d, scheme) for t in (t1, t2, t3)]
+        chk = three_point_check(states, (t1, t2, t3), wp, d, scheme, constants=constants)
         assert chk.slack >= -chk.tolerance
 
 
@@ -312,9 +321,22 @@ def test_fit_observability_envelope():
 def test_fit_observability_validation():
     with pytest.raises(ValueError):
         fit_observability([ObservabilitySample(0.02, 1.0, 0.5, 0.8)] * 5)
-    bad = [ObservabilitySample(0.02, 1.0, 0.0, 0.8)] * 12
-    with pytest.raises(ValueError):
-        fit_observability(bad)
+    for observed in (0.0, np.inf, np.nan):
+        bad = [ObservabilitySample(0.02, 1.0, observed, 0.8)] * 12
+        with pytest.raises(ValueError, match="norms must be finite and positive"):
+            fit_observability(bad)
+
+
+@pytest.mark.parametrize("t_final", [0.0, -0.02, np.inf, np.nan])
+def test_fit_observability_rejects_bad_horizon(t_final):
+    # One bad horizon among good samples is named before the fit runs,
+    # with no divide warning and no LAPACK failure.
+    samples = [ObservabilitySample(0.02 * (1 + i % 3), 1.0, 0.5, 0.8) for i in range(11)]
+    samples.append(ObservabilitySample(t_final, 1.0, 0.5, 0.8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_final must be finite and positive"):
+            fit_observability(samples)
 
 
 def test_bound_satisfaction_scale_invariant():
@@ -339,11 +361,12 @@ def test_split_slack_trivial_and_contractive():
     mask = subdomain_mask(grid, 0.2, 0.8)
     scheme = TimeScheme(0.02, 200, "crank_nicolson")
     fit = ObservabilityFit(mu=3.0, k_const=1e-4, beta=0.6, satisfied_fraction=1.0, n_samples=10)
-    assert epsilon_split_slack(np.zeros(51), 0.5, fit, d, mask, scheme) == 0.0
+    assert epsilon_split_slack(np.zeros(51), np.zeros(51), 0.5, fit, d, mask, scheme.t_final) == 0.0
     # for penalties >= 1 the slack follows from the contraction alone
     for seed in range(5):
         u0 = random_smooth_state(grid, SplitMix64(seed))
-        assert epsilon_split_slack(u0, 1.0, fit, d, mask, scheme) >= 0.0
+        final = evolve(u0, scheme.t_final, d, scheme)
+        assert epsilon_split_slack(u0, final, 1.0, fit, d, mask, scheme.t_final) >= 0.0
 
 
 def test_split_slack_implied_by_fitted_bound():
@@ -356,6 +379,7 @@ def test_split_slack_implied_by_fitted_bound():
     base = [s for s in samples if s.t_final == 0.02]
     for u0, sample in zip(states, base):
         assert bound_satisfied(fit, sample)
+        final = evolve(u0, scheme.t_final, d, scheme)
         for eps in (1.0, 0.1, 0.01):
-            slack = epsilon_split_slack(u0, eps, fit, d, mask, scheme)
+            slack = epsilon_split_slack(u0, final, eps, fit, d, mask, scheme.t_final)
             assert slack >= -1e-9 * norm(u0, d) ** 2

@@ -253,6 +253,11 @@ def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, se
         # The floor is roundoff relative to |b|, for solves that end far
         # below the tolerance.
         assert sol.true_residual == pytest.approx(norm(g, d) / norm(b, d), rel=1e-8, abs=1e-12)
+        # CG descends the functional from a unit relative residual, as at
+        # the reference grid (test_cg_functional_descent_and_residuals).
+        f = sol.functional_history
+        assert all(f2 <= f1 + 1e-12 * abs(f[0]) for f1, f2 in zip(f, f[1:]))
+        assert sol.residual_history[0] == 1.0
 
 
 def test_one_free_march_per_solve(step_count, setup25):
