@@ -11,7 +11,7 @@ verify the numerically visible consequences of that chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import lsq_linear
@@ -249,7 +249,7 @@ def three_point_check(
     wp: WeightParams,
     d: Discretization,
     scheme: TimeScheme,
-    constants: Optional[ConvexityConstants] = None,
+    constants: ConvexityConstants,
 ) -> ThreePointCheck:
     """Evaluate M log|F(t1)|^2 + log|F(t3)|^2 + D - (1+M) log|F(t2)|^2.
 
@@ -257,19 +257,17 @@ def three_point_check(
     ``[evolve(u0, t, d, scheme) for t in times]``.  The inequality holds in
     the continuum, so the pass threshold allows a discretization margin of
     5 (dx + dt) times the magnitude of the logs on top of a 1e-6 floor.
-    Constants may be supplied externally (useful for the degenerate s = 0
-    weight mode, where they are not defined).
+    M and D are ``constants``' three-point pair, from
+    :func:`convexity_constants`, which checks the weight's admissibility.
+    The weight ``wp`` only forms F, so the s = 0 test mode, which has no
+    constants of its own, can borrow those of an admissible weight.
     """
     if not len(states) == len(times) == 3:
         raise ValueError(f"need three states at three times, got {len(states)} and {len(times)}")
     t1, t2, t3 = times
     if not 0.0 < t1 < t2 < t3 <= scheme.t_final:
         raise ValueError(f"need 0 < t1 < t2 < t3 <= {scheme.t_final}, got ({t1}, {t2}, {t3})")
-    if constants is None:
-        c_const, c0 = _boundary_constants(wp, d.grid.a, d.grid.b)
-        m, d_const = _three_point_constants(wp, c_const, c0, t1, t2, t3)
-    else:
-        m, d_const = constants.m_three_point, constants.d_three_point
+    m, d_const = constants.m_three_point, constants.d_three_point
     logs = []
     for u, t in zip(states, times):
         f = weighted_state(u, t, wp, d)

@@ -40,6 +40,9 @@ class CgBreakdownError(RuntimeError):
 class HumConfig:
     """Penalty, stopping rule and timing of one solve.
 
+    The impulse time ``tau`` lies strictly inside (0, t_final): an impulse at
+    the final time leaves nothing to control.
+
     ``kappa`` switches on the cost-weighted variant: the observation term is
     weighted by kappa^2 and the penalty becomes epsilon^2.  When left unset
     the solvers that need it default to kappa = 1/epsilon, a practical scale
@@ -60,11 +63,9 @@ class HumConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ConfigError("epsilons", f"entries must be positive, got {self.epsilon}")
-        # tau == t_final is tolerated so the degenerate Gramian (identity
-        # semigroup) stays testable; the impulse solvers require tau < t_final.
-        if not 0.0 < self.tau <= self.t_final:
+        if not 0.0 < self.tau < self.t_final:
             raise ConfigError(
-                "tau", f"need 0 < tau <= t_final, got tau={self.tau}, t_final={self.t_final}"
+                "tau", f"need 0 < tau < t_final, got tau={self.tau}, t_final={self.t_final}"
             )
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tol", f"must lie in (0, 1), got {self.tol}")
@@ -90,8 +91,8 @@ class HumSolution:
     epsilon: float
     tol: float
     converged: bool
-    kappa: Optional[float] = None
-    true_residual: float = 0.0
+    kappa: Optional[float]
+    true_residual: float
 
 
 def control_op(v: State, mask: SubdomainMask) -> State:
@@ -144,7 +145,6 @@ def _run_cg(
     scheme: TimeScheme,
     obs_weight: float,
     penalty: float,
-    f0: Optional[State],
 ):
     """CG on (obs_weight * Lambda + penalty I) f = -b, with b = E(T) psi0.
 
@@ -152,8 +152,8 @@ def _run_cg(
     iteration count, whether the recursive residual met the tolerance, and
     |g_0|.
 
-    Follows the printed iteration: g_0 = penalty f_0 + obs_weight Lambda f_0
-    + b, descent directions w_k, step rho_k = |g_{k-1}|^2 / <gbar_k, w_{k-1}>,
+    Follows the printed iteration from f_0 = 0, so g_0 = b: descent
+    directions w_k, step rho_k = |g_{k-1}|^2 / <gbar_k, w_{k-1}>,
     restart-free, stop on |g_k| / |g_0| <= tol.
 
     The functional J(f) = 1/2 <A f, f> + <b, f>, with A the operator, is
@@ -168,12 +168,8 @@ def _run_cg(
     def objective(v: State, g: State) -> float:
         return 0.5 * inner(g + b, v, d)
 
-    if f0 is None:
-        f = np.zeros(d.grid.n_dof)
-        g = b.copy()
-    else:
-        f = np.asarray(f0, dtype=float).copy()
-        g = apply_op(f) + b
+    f = np.zeros(d.grid.n_dof)
+    g = b.copy()
 
     g0_norm = norm(g, d)
     if g0_norm == 0.0:
@@ -217,7 +213,6 @@ def _solve(
     scheme: TimeScheme,
     obs_weight: float,
     penalty: float,
-    f0: Optional[State],
     kappa: Optional[float],
 ) -> HumSolution:
     """Run CG on b = E(T) psi0, build the control obs_weight B E(T-tau) f,
@@ -233,13 +228,11 @@ def _solve(
     f.  ``converged`` also requires it (relative to |g_0|) to meet tol,
     because CG's recursive residual can drift below the true one.
     """
-    if f0 is not None:
-        f0 = _check_state(f0, d, "f0")
     k = _impulse_step(cfg.tau, scheme)
     pre = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=scheme.n_steps)
     (b,) = _evolve_to(pre.final_state, [(scheme.n_steps - k, scheme.dt)], d, scheme.theta)
     f, residuals, functionals, iterations, converged, g0_norm = _run_cg(
-        b, cfg, d, mask, scheme, obs_weight, penalty, f0
+        b, cfg, d, mask, scheme, obs_weight, penalty
     )
     control = obs_weight * control_op(evolve(f, cfg.t_final - cfg.tau, d, scheme), mask)
     final = post_impulse_flow(pre, control, d, mask, scheme, stride=scheme.n_steps).final_state
@@ -263,10 +256,8 @@ def _solve(
 
 
 def _check_horizon(cfg: HumConfig, scheme: TimeScheme, caller: str) -> None:
-    """The impulse solvers need tau < t_final, and the scheme must span the
-    same horizon: the forward marches take ``scheme.n_steps`` steps."""
-    if not cfg.tau < cfg.t_final:
-        raise ValueError(f"{caller} needs tau < t_final")
+    """The scheme must span the solve's horizon: the forward marches take
+    ``scheme.n_steps`` steps."""
     if not isclose(cfg.t_final, scheme.t_final, rel_tol=1e-9):
         raise ValueError(
             f"{caller} needs the scheme's horizon: HumConfig.t_final={cfg.t_final}, "
@@ -280,7 +271,6 @@ def cg_solve(
     d: Discretization,
     mask: SubdomainMask,
     scheme: TimeScheme,
-    f0: Optional[State] = None,
 ) -> HumSolution:
     """Minimal-norm impulse control via CG on (Lambda + eps I) f = -E(T) psi0.
 
@@ -291,8 +281,7 @@ def cg_solve(
     partial sweeps stay reproducible.
     """
     _check_horizon(cfg, scheme, "cg_solve")
-    return _solve(psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon,
-                  f0=f0, kappa=None)
+    return _solve(psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon, kappa=None)
 
 
 def solve_cost_weighted(
@@ -301,7 +290,6 @@ def solve_cost_weighted(
     d: Discretization,
     mask: SubdomainMask,
     scheme: TimeScheme,
-    f0: Optional[State] = None,
 ) -> HumSolution:
     """Cost-weighted variant: CG on (kappa^2 Lambda + eps^2 I) f = -E(T) psi0
     with control kappa^2 B E(T-tau) f.
@@ -317,7 +305,7 @@ def solve_cost_weighted(
     _check_horizon(cfg, scheme, "solve_cost_weighted")
     kappa = cfg.kappa if cfg.kappa is not None else 1.0 / cfg.epsilon
     return _solve(psi0, cfg, d, mask, scheme, obs_weight=kappa**2,
-                  penalty=cfg.epsilon**2, f0=f0, kappa=kappa)
+                  penalty=cfg.epsilon**2, kappa=kappa)
 
 
 def duality_residual(

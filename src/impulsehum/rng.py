@@ -40,15 +40,12 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
 
-    def uniform_array(self, n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)])
 
-
-def random_smooth_state(grid, rng: SplitMix64, n_modes: int = 4) -> np.ndarray:
-    """Random smooth state: a low-order sine series plus an affine part,
+def random_smooth_state(grid, rng: SplitMix64) -> np.ndarray:
+    """Random smooth state: a four-mode sine series plus an affine part,
     sampled at the nodes (traces take the endpoint values)."""
     xi = (grid.nodes - grid.a) / (grid.b - grid.a)
-    coeffs = rng.uniform_array(n_modes)
+    coeffs = [rng.uniform(-1.0, 1.0) for _ in range(4)]
     u = rng.uniform(-1.0, 1.0) + rng.uniform(-1.0, 1.0) * xi
     for k, ck in enumerate(coeffs, start=1):
         u = u + ck * np.sin(k * np.pi * xi)

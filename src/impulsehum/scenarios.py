@@ -76,22 +76,20 @@ class RunSummary:
     wall_time: float
 
 
-def _scenario_dir(cfg: ExperimentConfig, scenario: str) -> Path:
+def _setup(cfg: ExperimentConfig, scenario: str):
+    """Create ``<out>/<scenario>/`` before any computation, so an unusable
+    ``out_dir`` fails at once, then build the configured problem."""
     out = Path(cfg.out_dir) / scenario
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out_dir", f"cannot create {out}: {exc.strerror}") from exc
-    return out
-
-
-def _setup(cfg: ExperimentConfig):
     grid = make_grid(cfg)
     d = build_discretization(grid)
     mask = make_mask(cfg, grid)
     scheme = make_scheme(cfg)
     psi0 = initial_state(cfg, grid)
-    return grid, d, mask, scheme, psi0
+    return out, grid, d, mask, scheme, psi0
 
 
 def _row(sol: HumSolution) -> Table1Row:
@@ -99,13 +97,14 @@ def _row(sol: HumSolution) -> Table1Row:
                      sol.converged)
 
 
-def _write_summary(cfg: ExperimentConfig, scenario: str, t0: float, fields: dict,
+def _write_summary(cfg: ExperimentConfig, out: Path, t0: float, fields: dict,
                    rows=()) -> RunSummary:
     """Write ``summary.json`` (``fields`` plus the scenario name and the
-    config echo) and return the run's summary, timed from ``t0``."""
-    summary = {"scenario": scenario, "config": cfg.to_dict(), **fields}
-    write_json(summary, Path(cfg.out_dir) / scenario / "summary.json")
-    return RunSummary(scenario, tuple(rows), time.perf_counter() - t0)
+    config echo) into the scenario directory ``out`` from :func:`_setup`
+    and return the run's summary, timed from ``t0``."""
+    summary = {"scenario": out.name, "config": cfg.to_dict(), **fields}
+    write_json(summary, out / "summary.json")
+    return RunSummary(out.name, tuple(rows), time.perf_counter() - t0)
 
 
 def _write_cell(out: Path, cfg: ExperimentConfig, d, mask, scheme, free,
@@ -126,23 +125,23 @@ def _write_cell(out: Path, cfg: ExperimentConfig, d, mask, scheme, free,
 def run_uncontrolled(cfg: ExperimentConfig) -> RunSummary:
     """Free evolution from the configured initial state."""
     t0 = time.perf_counter()
-    grid, d, mask, scheme, psi0 = _setup(cfg)
+    out, grid, d, mask, scheme, psi0 = _setup(cfg, "uncontrolled")
     traj = evolve_trajectory(psi0, d, scheme, stride=cfg.snapshot_stride)
-    traj.to_csv(_scenario_dir(cfg, "uncontrolled") / "trajectory.csv")
+    traj.to_csv(out / "trajectory.csv")
     fields = {"initial_norm": norm(psi0, d), "final_norm": norm(traj.final_state, d)}
-    return _write_summary(cfg, "uncontrolled", t0, fields)
+    return _write_summary(cfg, out, t0, fields)
 
 
 def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, HumSolution]:
     """One impulse-controlled solve at the given penalty."""
     t0 = time.perf_counter()
-    grid, d, mask, scheme, psi0 = _setup(cfg)
+    out, grid, d, mask, scheme, psi0 = _setup(cfg, "controlled")
     sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme)
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
-    _write_cell(_scenario_dir(cfg, "controlled"), cfg, d, mask, scheme, free, sol)
+    _write_cell(out, cfg, d, mask, scheme, free, sol)
     row = _row(sol)
     fields = {**row.to_dict(), "initial_norm": sol.initial_norm}
-    return _write_summary(cfg, "controlled", t0, fields, (row,)), sol
+    return _write_summary(cfg, out, t0, fields, (row,)), sol
 
 
 def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
@@ -162,20 +161,19 @@ def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
 def run_table1(cfg: ExperimentConfig) -> RunSummary:
     """Penalty sweep reported as one compact table."""
     t0 = time.perf_counter()
-    grid, d, mask, scheme, psi0 = _setup(cfg)
+    out, grid, d, mask, scheme, psi0 = _setup(cfg, "table1")
     solves = list(_penalty_solves(cfg, d, mask, scheme, psi0))
     rows = [row for row, _ in solves]
     report = {repr(row.epsilon): solution_to_dict(sol)
               for row, sol in solves if sol is not None}
-    write_json({"per_epsilon": report}, _scenario_dir(cfg, "table1") / "report.json")
-    return _write_summary(cfg, "table1", t0, {"rows": [r.to_dict() for r in rows]}, rows)
+    write_json({"per_epsilon": report}, out / "report.json")
+    return _write_summary(cfg, out, t0, {"rows": [r.to_dict() for r in rows]}, rows)
 
 
 def run_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Like table1, but each penalty cell keeps its full artifacts."""
     t0 = time.perf_counter()
-    grid, d, mask, scheme, psi0 = _setup(cfg)
-    out = _scenario_dir(cfg, "sweep")
+    out, grid, d, mask, scheme, psi0 = _setup(cfg, "sweep")
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
     rows = []
     for i, (row, sol) in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
@@ -186,13 +184,13 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
             write_json({"epsilon": row.epsilon, "error": row.error}, cell / "summary.json")
         else:
             _write_cell(cell, cfg, d, mask, scheme, free, sol)
-    return _write_summary(cfg, "sweep", t0, {"rows": [r.to_dict() for r in rows]}, rows)
+    return _write_summary(cfg, out, t0, {"rows": [r.to_dict() for r in rows]}, rows)
 
 
 def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     """Frequency cross-check, three-point ensemble, and observability fit."""
     t0 = time.perf_counter()
-    grid, d, mask, scheme, psi0 = _setup(cfg)
+    out, grid, d, mask, scheme, psi0 = _setup(cfg, "convexity")
     wp = make_weight(cfg)
     t3 = cfg.t_final
     t2 = cfg.t_final - cfg.ell * cfg.hbar
@@ -243,7 +241,6 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     split_slacks = [cvx.epsilon_split_slack(u0, at[3][:, i], eps, fit, d, mask, cfg.t_final)
                     for eps in (1.0, 0.1, 0.01) for i, u0 in enumerate(states[:5])]
 
-    out = _scenario_dir(cfg, "convexity")
     cvx.write_frequency_csv(freq, out / "frequency.csv")
     violations = sum(1 for c in checks if not c.passed)
     report = {
@@ -259,7 +256,7 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
         "frequency_mid_rel_error": freq_rel_err,
     }
     write_json(report, out / "report.json")
-    return _write_summary(cfg, "convexity", t0, {
+    return _write_summary(cfg, out, t0, {
         "c0": constants.c0,
         "c_const": constants.c_const,
         "three_point_violations": violations,

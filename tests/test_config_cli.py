@@ -333,7 +333,7 @@ def test_run_convexity_reports_constants(tmp_path):
     assert 0.0 < summary["fitted_beta"] < 1.0
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, step_count):
     assert main(["uncontrolled", "--out", str(tmp_path / "a")]) == EXIT_OK
     assert main(["table1", "--out", str(tmp_path / "b"), "--epsilon", "1e-2"]) == EXIT_OK
     # malformed penalty list and invalid fields are config errors
@@ -368,11 +368,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     capped.write_text(json.dumps({"max_iter": 1, "epsilons": [1e-4]}))
     assert main(["controlled", "--config", str(capped), "--out", str(tmp_path / "c")]) == EXIT_SOLVER
     assert main(["sweep", "--config", str(capped), "--out", str(tmp_path / "d")]) == EXIT_SOLVER
-    # an output path that names a file is the out_dir field's fault
-    for scenario in ("uncontrolled", "sweep"):
+    # an output path that names a file is the out_dir field's fault, found
+    # before any step is taken
+    for scenario in ("uncontrolled", "controlled", "table1", "sweep", "convexity"):
         capsys.readouterr()
+        step_count[0] = 0
         assert main([scenario, "--out", str(cfg), "--epsilon", "1e-1"]) == EXIT_CONFIG
         assert "'out_dir'" in capsys.readouterr().err
+        assert step_count[0] == 0
 
 
 def test_cli_convexity_zero_state_is_config_error(tmp_path, capsys):

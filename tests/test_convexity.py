@@ -270,12 +270,15 @@ def test_three_point_constant_state_slack_is_offset():
 
 
 def test_three_point_rejects_degenerate_triple(setup25):
-    _, d, _, scheme, psi0 = setup25
+    grid, d, _, scheme, psi0 = setup25
+    constants = convexity_constants(WeightParams(0.5, 0.9, 0.004, 0.02), grid, 2.0,
+                                    0.004, 0.012, 0.02)
     with pytest.raises(ValueError):
-        three_point_check([psi0] * 3, (0.01, 0.01, 0.02), WP, d, scheme)
+        three_point_check([psi0] * 3, (0.01, 0.01, 0.02), WP, d, scheme, constants)
     # one state per time: a block of states as columns is not three states
     with pytest.raises(ValueError, match="three states at three times"):
-        three_point_check(np.column_stack([psi0] * 3), (0.005, 0.01, 0.02), WP, d, scheme)
+        three_point_check(np.column_stack([psi0] * 3), (0.005, 0.01, 0.02), WP, d, scheme,
+                          constants)
 
 
 def test_three_point_ensemble_nonnegative():
