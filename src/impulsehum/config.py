@@ -114,8 +114,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("ell", f"must exceed 1, got {cfg.ell}")
     if cfg.snapshot_stride < 1:
         raise ConfigError("snapshot_stride", f"must be at least 1, got {cfg.snapshot_stride}")
-    if cfg.seed < 0:
-        raise ConfigError("seed", f"must be nonnegative, got {cfg.seed}")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError("seed", f"must lie in [0, 2**64 - 1], got {cfg.seed}")
     if aligned.n_steps != cfg.n_steps:
         cfg = replace(cfg, n_steps=aligned.n_steps)
     return cfg

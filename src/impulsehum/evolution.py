@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, inf, isclose
+from math import ceil, inf
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -77,9 +77,9 @@ class TimeScheme:
 
 
 def _grid_step(t: float, dt: float) -> Optional[int]:
-    """The step count k >= 1 with k dt = t up to roundoff, else None."""
+    """The step count k >= 1 with |t / dt - k| <= 1e-9 k, else None."""
     k = round(t / dt)
-    return k if k >= 1 and isclose(k * dt, t, rel_tol=1e-9, abs_tol=1e-12) else None
+    return k if k >= 1 and abs(t / dt - k) <= 1e-9 * k else None
 
 
 def _step_factor(d: Discretization, dt: float, theta: float) -> np.ndarray:
@@ -154,18 +154,19 @@ def _make_step(
 def steps_for(t: float, scheme: TimeScheme) -> tuple[int, float]:
     """Number of steps and actual dt used to reach time ``t``.
 
-    When t is not an exact multiple of the target dt the count is rounded up
-    and the step slightly shrunk, so the final time is always hit exactly.
+    A t on the time grid (:func:`_grid_step`) takes k steps of the scheme's
+    dt and is reached as k dt, within 1e-9 relative.  Off the grid the count
+    is rounded up and the step slightly shrunk, so t is hit exactly.
     """
     if not 0 <= t < inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0:
         return 0, scheme.dt
-    ratio = t / scheme.dt
-    n = round(ratio)
-    if n < 1 or not isclose(ratio, n, rel_tol=1e-9, abs_tol=1e-12):
-        n = max(1, ceil(ratio))
-    return int(n), t / int(n)
+    k = _grid_step(t, scheme.dt)
+    if k is not None:
+        return k, scheme.dt
+    n = max(1, ceil(t / scheme.dt))
+    return n, t / n
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ residual.  The impulsive run is marched by ``evolution`` alone: the free
 flow of psi0 up to the impulse (``pre_impulse_flow``) holds the impulse's
 left limit, E(T) psi0 is marched from it over T - tau, and
 ``post_impulse_flow`` jumps it by the control and marches the final state.
+Every span over T - tau, b's too, marches at the scheme's dt (see
+``steps_for``), so a solve uses one step size and one factor.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import (TimeScheme, _check_state, _evolve_to, _impulse_step, _write_csv,
-                        evolve, post_impulse_flow, pre_impulse_flow, solve_impulsive,
-                        steps_for)
+from .evolution import (TimeScheme, _check_state, _evolve_to, _write_csv, evolve,
+                        post_impulse_flow, pre_impulse_flow, solve_impulsive, steps_for)
 from .mesh import ConfigError, Discretization, State, SubdomainMask, inner, norm, subdomain_norm
 
 
@@ -218,19 +219,17 @@ def _solve(
     """Run CG on b = E(T) psi0, build the control obs_weight B E(T-tau) f,
     and take Psi(T) from :func:`post_impulse_flow` of the control on the
     free flow :func:`pre_impulse_flow` of ``psi0``, bit for bit the last
-    state of :func:`solve_impulsive`.  b is marched from the flow's left
-    limit at step k over the n - k steps after the impulse on the scheme's
-    grid, bit for bit one march of ``psi0`` over all n steps.  Every input
-    is checked before any step.
+    state of :func:`solve_impulsive`.  b is the flow's left limit evolved
+    over T - tau, bit for bit one march of ``psi0`` over all n steps.
+    Every input is checked before any step.
 
     As the control carries the observation weight, Psi(T) = b + obs_weight
     Lambda f up to roundoff, so penalty f + Psi(T) is the true residual at
     f.  ``converged`` also requires it (relative to |g_0|) to meet tol,
     because CG's recursive residual can drift below the true one.
     """
-    k = _impulse_step(cfg.tau, scheme)
     pre = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=scheme.n_steps)
-    (b,) = _evolve_to(pre.final_state, [(scheme.n_steps - k, scheme.dt)], d, scheme.theta)
+    b = evolve(pre.final_state, cfg.t_final - cfg.tau, d, scheme)
     f, residuals, functionals, iterations, converged, g0_norm = _run_cg(
         b, cfg, d, mask, scheme, obs_weight, penalty
     )

@@ -10,7 +10,8 @@ unsigned integers; all arithmetic is modulo 2^64:
     z      = ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     output = z XOR (z >> 31)
 
-Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2^-53.
+Doubles in [0, 1) take the top 53 bits: (output >> 11) * 2^-53.  Ensemble
+member i is seeded with seed + i, taken mod 2^64 like the state.
 """
 
 from __future__ import annotations

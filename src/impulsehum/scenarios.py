@@ -28,7 +28,6 @@ from .config import (
     make_weight,
 )
 from .evolution import (
-    TimeScheme,
     _evolve_to,
     evolve_trajectory,
     post_impulse_flow,
@@ -211,14 +210,12 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
 
     states = [random_smooth_state(grid, SplitMix64(cfg.seed + i)) for i in range(n_seeds)]
     # One plan for the whole ensemble, one state per column: t1, t2, t3 on
-    # the configured scheme and the 1x/2.5x/5x observability horizons on
-    # their own schemes.  Targets that share a step size share one march.
+    # the configured scheme and the 1x/2.5x/5x observability horizons in n
+    # steps of h / n each.  Targets that share a step size share one march.
     times = (t1, t2, t3)
     horizons = [(mult * cfg.t_final, int(round(cfg.n_steps * mult)))
                 for mult in (1.0, 2.5, 5.0)]
-    targets = [steps_for(t, scheme) for t in times] + [
-        steps_for(h, TimeScheme(h, n, cfg.method)) for h, n in horizons
-    ]
+    targets = [steps_for(t, scheme) for t in times] + [(n, h / n) for h, n in horizons]
     at = _evolve_to(np.column_stack(states), targets, d, scheme.theta)
     checks = [cvx.three_point_check([block[:, i] for block in at[:3]], times, wp, d, scheme,
                                     constants)

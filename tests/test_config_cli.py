@@ -67,6 +67,8 @@ FIELD_CASES = [
     # a repeated penalty would be solved twice and keep one report entry
     ("epsilons", (1e-2, 1e-2, 1e-3), "epsilons"),
     ("psi0_width", float("inf"), "psi0_width"),
+    # SplitMix64 keeps 64 bits, so 2**64 would run seed 0's ensemble
+    ("seed", 2**64, "seed"),
 ]
 
 

@@ -37,6 +37,10 @@ def test_steps_for_rounding():
     # off-grid spans round the count up and shrink the step
     n, dt = steps_for(0.01005, scheme)
     assert n == 101 and n * dt == pytest.approx(0.01005)
+    assert (n, dt) == (101, 0.01005 / 101)
+    # an aligned span marches at the scheme's step, bit for bit, though
+    # (0.02 - 0.013) / 70 is not 1e-4 in floating point
+    assert steps_for(0.02 - 0.013, scheme) == (70, 1e-4)
 
 
 def test_impulse_alignment():

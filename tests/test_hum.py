@@ -226,11 +226,10 @@ def test_true_residual_and_final_state(solver, setup25):
     seed=st.integers(0, 2**32 - 1),
     t_final=st.just(0.02),
 )
-# A horizon one ulp past the scheme's passes the horizon check, but its step
-# differs from the scheme's (exactly so for a power-of-two step count).  This
-# pins that the solvers take b from the impulse's left limit on the scheme's
-# grid: it differs from the b below, marched at the horizon's own step, by
-# roundoff only.
+# A horizon one ulp past the scheme's passes the horizon check, and its
+# t_final / n_steps differs from the scheme's step (exactly so for a
+# power-of-two step count).  It still lies on the scheme's grid, so it and
+# every span of the solve march at the scheme's own step.
 @example(nx=7, method="crank_nicolson", n_steps=16, k_frac=0.5, log_eps=-2.0, seed=3,
          t_final=float(np.nextafter(0.02, np.inf)))
 def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, seed, t_final):
@@ -240,7 +239,7 @@ def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, se
     scheme = TimeScheme(0.02, n_steps, method)
     tau = (1 + int(k_frac * (n_steps - 1))) * scheme.dt
     cfg = HumConfig(epsilon=10.0**log_eps, tau=tau, t_final=t_final)
-    assert (steps_for(t_final, scheme)[1] != scheme.dt) == (t_final != scheme.t_final)
+    assert steps_for(t_final, scheme) == (n_steps, scheme.dt)
     psi0 = np.random.default_rng(seed).standard_normal(nx + 1)
     b = evolve(psi0, t_final, d, scheme)
     for solver in (cg_solve, solve_cost_weighted):
@@ -258,6 +257,30 @@ def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, se
         f = sol.functional_history
         assert all(f2 <= f1 + 1e-12 * abs(f[0]) for f1, f2 in zip(f, f[1:]))
         assert sol.residual_history[0] == 1.0
+    # b, both sides of Lambda, the control and Psi(T) share one factor
+    assert len(d.step_cache) == 1
+
+
+def test_one_factor_per_solve_off_the_default_horizon():
+    # tau = 1.1 and T - tau lie on the grid of dt = 0.01, though T - tau
+    # (0.8999999999999999) / 90 is not 0.01 in floating point.  Every span
+    # marches at dt, so one factor serves the solve and Psi(T) = b + Lambda f
+    # to roundoff in |b| (3.2e-16 here; with a second step size for the
+    # spans, 5.2e-14).
+    grid = Grid(0.0, 1.0, 25)
+    d = build_discretization(grid)
+    mask = subdomain_mask(grid, 0.2, 0.8)
+    scheme = TimeScheme(2.0, 200)
+    cfg = HumConfig(epsilon=1e-3, tau=1.1, t_final=2.0)
+    psi0 = np.sqrt(2.0) * np.sin(np.pi * grid.nodes)
+    psi0[0] = psi0[-1] = 0.0
+    sol = cg_solve(psi0, cfg, d, mask, scheme)
+    assert len(d.step_cache) == 1
+    b = evolve(psi0, cfg.t_final, d, scheme)
+    lam_f = gramian_apply(sol.minimizer, cfg, d, mask, scheme)
+    assert norm(sol.final_state - (b + lam_f), d) <= 1e-14 * norm(b, d)
+    duality_residual(psi0, sol.control, psi0, cfg, d, mask, scheme)
+    assert len(d.step_cache) == 1
 
 
 def test_one_free_march_per_solve(step_count, setup25):
