@@ -368,8 +368,13 @@ def test_cli_exit_codes(tmp_path, capsys, step_count):
     # an iteration cap of 1 cannot converge: solver failure
     capped = tmp_path / "capped.json"
     capped.write_text(json.dumps({"max_iter": 1, "epsilons": [1e-4]}))
-    assert main(["controlled", "--config", str(capped), "--out", str(tmp_path / "c")]) == EXIT_SOLVER
-    assert main(["sweep", "--config", str(capped), "--out", str(tmp_path / "d")]) == EXIT_SOLVER
+    # in every scenario that solves, and the message names the penalty
+    for scenario in ("controlled", "table1", "sweep"):
+        capsys.readouterr()
+        assert main([scenario, "--config", str(capped),
+                     "--out", str(tmp_path / "c")]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "eps=0.0001" in err and "sweep cell" not in err
     # an output path that names a file is the out_dir field's fault, found
     # before any step is taken
     for scenario in ("uncontrolled", "controlled", "table1", "sweep", "convexity"):

@@ -283,6 +283,31 @@ def test_one_factor_per_solve_off_the_default_horizon():
     assert len(d.step_cache) == 1
 
 
+@pytest.mark.parametrize("tau, t_final", [(0.0150000000135, 0.02), (0.01, 0.02 * (1 + 5e-10))])
+def test_tau_and_horizon_read_as_their_grid_steps(tau, t_final, setup25):
+    # tau 1.35e-7 steps past step 150, or a horizon 1e-7 steps past step
+    # 200, is accepted as that step.  Each span of the solve is then the
+    # n - k steps of dt after the impulse, the steps Psi(T) is marched over,
+    # so the solve is bit for bit the one at the exact tau and horizon, with
+    # one factor and Psi(T) = b + Lambda f to roundoff.  T - tau subtracted
+    # in floating point lies off the grid in both cases, and marching it
+    # would leave two factors, |Psi(T) - (b + Lambda f)| of 1.0e-7 |b|
+    # (horizon) and a duality residual of 1.1e-10 (tau).
+    _, d, mask, scheme, psi0 = setup25
+    cfg = HumConfig(epsilon=1e-3, tau=tau, t_final=t_final)
+    sol = cg_solve(psi0, cfg, d, mask, scheme)
+    assert duality_residual(psi0, sol.control, psi0, cfg, d, mask, scheme) <= 1e-14
+    assert len(d.step_cache) == 1
+    b = evolve(psi0, 0.02, d, scheme)
+    lam_f = gramian_apply(sol.minimizer, cfg, d, mask, scheme)
+    assert norm(sol.final_state - (b + lam_f), d) <= 1e-14 * norm(b, d)
+    exact = cg_solve(psi0, HumConfig(epsilon=1e-3, tau=round(tau, 6), t_final=0.02),
+                     d, mask, scheme)
+    assert sol.iterations == exact.iterations
+    for field in ("minimizer", "control", "final_state"):
+        assert np.array_equal(getattr(sol, field), getattr(exact, field))
+
+
 def test_one_free_march_per_solve(step_count, setup25):
     # psi0 is marched to step k = tau / dt, the impulse's left limit, and b
     # from there over the n - k steps after it; each CG iteration, the
@@ -295,8 +320,14 @@ def test_one_free_march_per_solve(step_count, setup25):
 
 def test_off_grid_tau_rejected_before_marching(step_count, setup25):
     _, d, mask, scheme, psi0 = setup25
-    with pytest.raises(ValueError, match="off the time grid"):
-        cg_solve(psi0, HumConfig(epsilon=1e-2, tau=0.010003, t_final=0.02), d, mask, scheme)
+    cfg = HumConfig(epsilon=1e-2, tau=0.010003, t_final=0.02)
+    solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
+              lambda: solve_cost_weighted(psi0, cfg, d, mask, scheme),
+              lambda: gramian_apply(psi0, cfg, d, mask, scheme),
+              lambda: duality_residual(psi0, np.zeros_like(psi0), psi0, cfg, d, mask, scheme)]
+    for solve in solves:
+        with pytest.raises(ValueError, match="off the time grid"):
+            solve()
     assert step_count[0] == 0
 
 
@@ -305,6 +336,7 @@ def test_horizon_mismatch_rejected_before_marching(step_count, setup25):
     cfg = HumConfig(epsilon=1e-2, tau=0.01, t_final=0.03)
     solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
               lambda: solve_cost_weighted(psi0, cfg, d, mask, scheme),
+              lambda: gramian_apply(psi0, cfg, d, mask, scheme),
               lambda: duality_residual(psi0, np.zeros_like(psi0), psi0, cfg, d, mask, scheme)]
     for solve in solves:
         with pytest.raises(ValueError, match="needs the scheme's horizon"):
