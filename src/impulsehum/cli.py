@@ -9,7 +9,6 @@ import argparse
 import sys
 
 from .config import ConfigError, load_config
-from .hum import CgBreakdownError
 from .scenarios import (
     run_controlled,
     run_convexity,
@@ -90,12 +89,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CgBreakdownError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
     failed = [f"CG did not converge at eps={row.epsilon:g}"
-              + (f": {row.error}" if row.error else "")
               for row in summary.rows if not row.converged]
     if failed:
         print(f"solver failure: {'; '.join(failed)} (partial results kept)", file=sys.stderr)

@@ -62,6 +62,11 @@ class ExperimentConfig:
 
 _PSI0_KINDS = ("sine", "gaussian", "nodes-from-file")
 
+# Largest magnitude an initial state may hold.  The weighted products square
+# it: at the reference setup the scenarios write finite JSON up to 1e153 and
+# Infinity or NaN from 1e154 on, so this leaves four decades.
+MAX_DATUM = 1e150
+
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -164,7 +169,8 @@ def make_weight(cfg: ExperimentConfig) -> WeightParams:
 
 def initial_state(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:
     """Initial datum: interior profile per ``psi0_kind``, traces from
-    ``boundary_c`` / ``boundary_d``."""
+    ``boundary_c`` / ``boundary_d``.  An entry beyond ``MAX_DATUM`` in
+    magnitude is the fault of the field that set it."""
     x = grid.nodes
     if cfg.psi0_kind == "sine":
         xi = (x - cfg.a) / (cfg.b - cfg.a)
@@ -190,11 +196,16 @@ def initial_state(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:
         if not np.all(np.isfinite(u)):
             raise ConfigError("psi0_path", "node values must be finite")
     for name, value in (("boundary_c", cfg.boundary_c), ("boundary_d", cfg.boundary_d)):
-        if not math.isfinite(value):
-            raise ConfigError(name, f"must be finite, got {value}")
+        if not abs(value) <= MAX_DATUM:
+            raise ConfigError(name, f"must be finite and at most {MAX_DATUM:g} in magnitude, "
+                                    f"got {value}")
     u = np.asarray(u, dtype=float).copy()
     u[0] = cfg.boundary_c
     u[-1] = cfg.boundary_d
     if not np.all(np.isfinite(u)):
         raise ConfigError("psi0_kind", "initial state contains non-finite entries")
+    peak = np.max(np.abs(u))
+    if peak > MAX_DATUM:
+        field = "psi0_path" if cfg.psi0_kind == "nodes-from-file" else "psi0_amplitude"
+        raise ConfigError(field, f"initial state reaches {peak:g}, above the bound {MAX_DATUM:g}")
     return u

@@ -239,8 +239,6 @@ class ThreePointCheck:
     slack: float
     tolerance: float
     passed: bool
-    m: float
-    d_const: float
 
 
 def three_point_check(
@@ -282,8 +280,6 @@ def three_point_check(
         slack=float(slack),
         tolerance=float(tolerance),
         passed=bool(slack >= -tolerance),
-        m=m,
-        d_const=d_const,
     )
 
 

@@ -34,10 +34,6 @@ from .evolution import (TimeScheme, _check_state, _evolve_to, _grid_step, _impul
 from .mesh import ConfigError, Discretization, State, SubdomainMask, inner, norm, subdomain_norm
 
 
-class CgBreakdownError(RuntimeError):
-    """Raised when the CG curvature term loses positive definiteness."""
-
-
 @dataclass(frozen=True)
 class HumConfig:
     """Penalty, stopping rule and timing of one solve.
@@ -168,7 +164,11 @@ def _run_cg(
 
     Follows the printed iteration from f_0 = 0, so g_0 = b: descent
     directions w_k, step rho_k = |g_{k-1}|^2 / <gbar_k, w_{k-1}>,
-    restart-free, stop on |g_k| / |g_0| <= tol.
+    restart-free, stop on |g_k| / |g_0| <= tol.  It also stops, unconverged,
+    at the iteration cap or at a curvature <gbar_k, w_{k-1}> that is not
+    positive (NaN included), which the positive definite operator admits
+    only through roundoff: either way the last iterate is returned, so a
+    breakdown at iteration k returns what a cap of k - 1 does.
 
     The functional J(f) = 1/2 <A f, f> + <b, f>, with A the operator, is
     recorded as 1/2 <g + b, f> from the residual g = A f + b that CG already
@@ -199,11 +199,8 @@ def _run_cg(
     for k in range(1, max_iter + 1):
         gbar = apply_op(w)
         denom = inner(gbar, w, d)
-        if denom <= 0.0:
-            raise CgBreakdownError(
-                f"curvature <gbar, w> = {denom} is not positive at iteration {k}; "
-                "the regularized Gramian lost positive definiteness"
-            )
+        if not denom > 0.0:
+            break
         rho = g_norm**2 / denom
         f = f - rho * w
         g = g - rho * gbar
@@ -280,9 +277,10 @@ def cg_solve(
 
     On convergence the control is the masked propagation of the minimizer and
     the final state is marched after the impulse from the left limit that
-    ``pre_impulse_flow(psi0, cfg.tau, d, scheme)`` holds.  If the iteration
-    cap is hit the best iterate is returned with ``converged`` False, so
-    partial sweeps stay reproducible.
+    ``pre_impulse_flow(psi0, cfg.tau, d, scheme)`` holds.  If CG stops at
+    the iteration cap or at a curvature that is not positive, the last
+    iterate is returned with ``converged`` False, so partial sweeps stay
+    reproducible.
     """
     return _solve(psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon, kappa=None)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .evolution import (
     steps_for,
 )
 from .hum import (
-    CgBreakdownError,
     HumSolution,
     _write_json as write_json,  # one JSON format; traced under this name
     cg_solve,
@@ -54,18 +52,6 @@ class Table1Row:
     final_norm: float
     control_norm: float
     converged: bool
-    error: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        """Field dict for JSON output; ``error`` only when set.  A broken
-        row's NaN norms are written as null, which JSON can hold."""
-        data = asdict(self)
-        if self.error is None:
-            del data["error"]
-        for key in ("final_norm", "control_norm"):
-            if np.isnan(data[key]):
-                data[key] = None
-        return data
 
 
 @dataclass(frozen=True)
@@ -139,22 +125,14 @@ def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, H
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
     _write_cell(out, cfg, d, mask, scheme, free, sol)
     row = _row(sol)
-    fields = {**row.to_dict(), "initial_norm": sol.initial_norm}
+    fields = {**asdict(row), "initial_norm": sol.initial_norm}
     return _write_summary(cfg, out, t0, fields, (row,)), sol
 
 
 def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
-    """One CG solve per penalty, largest first, yielding (row, solution).
-
-    A CG breakdown yields a partial row carrying the error and no solution.
-    """
+    """One CG solve per penalty, largest first, yielding each solution."""
     for eps in sorted(cfg.epsilons, reverse=True):
-        try:
-            sol = cg_solve(psi0, make_hum_config(cfg, eps), d, mask, scheme)
-        except CgBreakdownError as exc:
-            yield Table1Row(eps, 0, float("nan"), float("nan"), False, str(exc)), None
-            continue
-        yield _row(sol), sol
+        yield cg_solve(psi0, make_hum_config(cfg, eps), d, mask, scheme)
 
 
 def run_table1(cfg: ExperimentConfig) -> RunSummary:
@@ -162,11 +140,10 @@ def run_table1(cfg: ExperimentConfig) -> RunSummary:
     t0 = time.perf_counter()
     out, grid, d, mask, scheme, psi0 = _setup(cfg, "table1")
     solves = list(_penalty_solves(cfg, d, mask, scheme, psi0))
-    rows = [row for row, _ in solves]
-    report = {repr(row.epsilon): solution_to_dict(sol)
-              for row, sol in solves if sol is not None}
+    rows = [_row(sol) for sol in solves]
+    report = {repr(sol.epsilon): solution_to_dict(sol) for sol in solves}
     write_json({"per_epsilon": report}, out / "report.json")
-    return _write_summary(cfg, out, t0, {"rows": [r.to_dict() for r in rows]}, rows)
+    return _write_summary(cfg, out, t0, {"rows": [asdict(r) for r in rows]}, rows)
 
 
 def run_sweep(cfg: ExperimentConfig) -> RunSummary:
@@ -175,15 +152,12 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
     out, grid, d, mask, scheme, psi0 = _setup(cfg, "sweep")
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
     rows = []
-    for i, (row, sol) in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
-        rows.append(row)
-        cell = out / f"cell{i:02d}_eps_{row.epsilon:g}"
+    for i, sol in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
+        cell = out / f"cell{i:02d}_eps_{sol.epsilon:g}"
         cell.mkdir(parents=True, exist_ok=True)
-        if sol is None:
-            write_json({"epsilon": row.epsilon, "error": row.error}, cell / "summary.json")
-        else:
-            _write_cell(cell, cfg, d, mask, scheme, free, sol)
-    return _write_summary(cfg, out, t0, {"rows": [r.to_dict() for r in rows]}, rows)
+        _write_cell(cell, cfg, d, mask, scheme, free, sol)
+        rows.append(_row(sol))
+    return _write_summary(cfg, out, t0, {"rows": [asdict(r) for r in rows]}, rows)
 
 
 def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:

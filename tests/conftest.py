@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from impulsehum import Grid, TimeScheme, build_discretization, evolution, subdomain_mask
+from impulsehum import Grid, TimeScheme, build_discretization, evolution, hum, subdomain_mask
 
 
 @pytest.fixture
@@ -45,3 +45,30 @@ def step_count(monkeypatch) -> list:
 
     monkeypatch.setattr(evolution, "_march", counting)
     return counted
+
+
+@pytest.fixture
+def force_breakdown(monkeypatch):
+    """``force_breakdown(k, eps)`` makes the CG curvature negative from the
+    k-th iteration of every solve at penalty ``eps`` on: from its k-th call
+    in that solve, ``hum.gramian_apply`` returns ``fake(rho)``, by default
+    -1e3 rho."""
+
+    def arm(k, eps, fake=lambda rho: -1e3 * rho):
+        calls = [0]
+        run_cg, gramian_apply = hum._run_cg, hum.gramian_apply
+
+        def counted_run_cg(*args):
+            calls[0] = 0
+            return run_cg(*args)
+
+        def broken(rho, cfg, d, mask, scheme):
+            calls[0] += 1
+            if cfg.epsilon == eps and calls[0] >= k:
+                return fake(rho)
+            return gramian_apply(rho, cfg, d, mask, scheme)
+
+        monkeypatch.setattr(hum, "_run_cg", counted_run_cg)
+        monkeypatch.setattr(hum, "gramian_apply", broken)
+
+    return arm

@@ -18,12 +18,20 @@ from impulsehum import (
     run_uncontrolled,
     validate,
 )
-from impulsehum import scenarios
 from impulsehum.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
-from impulsehum.hum import CgBreakdownError
-from impulsehum.config import make_grid
+from impulsehum.config import MAX_DATUM, make_grid
 
-from dataclasses import replace
+from dataclasses import asdict, replace
+
+SCENARIOS = ("uncontrolled", "controlled", "table1", "sweep", "convexity")
+
+
+def _strict_json(path):
+    """Parse ``path`` as strict JSON: NaN and Infinity are errors."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_defaults_validate():
@@ -271,44 +279,39 @@ def test_sweep_cells_share_the_free_rows(tmp_path):
     assert len({lines[n_free] for lines in files}) == 3
 
 
-@pytest.fixture
-def breakdown_at_1e_3(monkeypatch):
-    """Make the scenarios' CG solve break down at epsilon = 1e-3."""
-    real = scenarios.cg_solve
-
-    def flaky(psi0, cfg, d, mask, scheme):
-        if cfg.epsilon == 1e-3:
-            raise CgBreakdownError("forced")
-        return real(psi0, cfg, d, mask, scheme)
-
-    monkeypatch.setattr(scenarios, "cg_solve", flaky)
-
-
-def test_breakdown_keeps_partial_rows(tmp_path, breakdown_at_1e_3):
+def test_breakdown_is_an_unconverged_row(tmp_path, force_breakdown):
+    # A curvature that is not positive at iteration 3 of the 1e-3 solve (4
+    # iterations when unbroken) leaves its row unconverged at 2 iterations;
+    # the other penalties and every artifact are written as usual.
+    force_breakdown(3, 1e-3)
     cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
     for run in (run_table1, run_sweep):
         rows = run(cfg).rows
-        assert [r.epsilon for r in rows] == [1e-2, 1e-3, 1e-4]
-        assert [r.error for r in rows] == [None, "forced", None]
-        assert rows[1].iterations == 0 and np.isnan(rows[1].final_norm)
-    report = json.loads((tmp_path / "table1" / "report.json").read_text())
-    assert sorted(report["per_epsilon"]) == ["0.0001", "0.01"]
-    cell = json.loads((tmp_path / "sweep" / "cell01_eps_0.001" / "summary.json").read_text())
-    assert cell == {"epsilon": 1e-3, "error": "forced"}
-    assert (tmp_path / "sweep" / "cell02_eps_0.0001" / "control.csv").exists()
+        assert [(r.epsilon, r.converged) for r in rows] == [(1e-2, True), (1e-3, False),
+                                                            (1e-4, True)]
+        assert rows[1].iterations == 2 and rows[1].final_norm > 0.0
+        summary = _strict_json(tmp_path / run.__name__.removeprefix("run_") / "summary.json")
+        assert summary["rows"] == [asdict(r) for r in rows]
+    report = _strict_json(tmp_path / "table1" / "report.json")
+    assert sorted(report["per_epsilon"]) == ["0.0001", "0.001", "0.01"]
+    assert report["per_epsilon"]["0.001"]["converged"] is False
+    cells = sorted(p for p in (tmp_path / "sweep").iterdir() if p.is_dir())
+    assert [c.name for c in cells] == ["cell00_eps_0.01", "cell01_eps_0.001", "cell02_eps_0.0001"]
+    for cell in cells:
+        assert sorted(p.name for p in cell.iterdir()) == ["control.csv", "report.json",
+                                                          "trajectory.csv"]
+        _strict_json(cell / "report.json")
 
 
-def test_breakdown_summary_is_valid_json(tmp_path, breakdown_at_1e_3):
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
-    for run in (run_table1, run_sweep):
-        run(cfg)
-        text = (tmp_path / run.__name__.removeprefix("run_") / "summary.json").read_text()
-        rows = json.loads(text, parse_constant=reject)["rows"]
-        assert rows[1]["final_norm"] is None and rows[1]["control_norm"] is None
-        assert rows[1]["error"] == "forced" and rows[0]["final_norm"] > 0.0
+def test_cli_breakdown_exits_as_solver_failure(tmp_path, capsys, force_breakdown):
+    force_breakdown(3, 1e-3)
+    for scenario in ("controlled", "table1", "sweep"):
+        capsys.readouterr()
+        assert main([scenario, "--out", str(tmp_path), "--epsilon", "1e-3,1e-2"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "eps=0.001" in err and "eps=0.01" not in err
+    summary = _strict_json(tmp_path / "controlled" / "summary.json")
+    assert summary["epsilon"] == 1e-3 and summary["converged"] is False
 
 
 def test_default_scenario_step_counts(tmp_path, step_count):
@@ -383,6 +386,41 @@ def test_cli_exit_codes(tmp_path, capsys, step_count):
         assert main([scenario, "--out", str(cfg), "--epsilon", "1e-1"]) == EXIT_CONFIG
         assert "'out_dir'" in capsys.readouterr().err
         assert step_count[0] == 0
+
+
+def test_datum_beyond_the_bound_is_config_error(tmp_path, capsys, step_count):
+    # Past MAX_DATUM the weighted products overflow; the field that set the
+    # entry is named before any step is taken, in every scenario.
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("0.0\n" * 13 + "1e200\n" + "0.0\n" * 12)
+    cfg = tmp_path / "huge.json"
+    for data in ({"psi0_amplitude": 1e154},
+                 {"psi0_kind": "nodes-from-file", "psi0_path": str(nodes)},
+                 {"boundary_c": 1e154}, {"boundary_d": -1e200}):
+        cfg.write_text(json.dumps(data))
+        field = next(reversed(data))
+        for scenario in SCENARIOS:
+            capsys.readouterr()
+            step_count[0] = 0
+            argv = [scenario, "--config", str(cfg), "--out", str(tmp_path / "out")]
+            assert main(argv) == EXIT_CONFIG
+            assert f"'{field}'" in capsys.readouterr().err
+            assert step_count[0] == 0
+
+
+def test_datum_at_the_bound_writes_strict_json(tmp_path):
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps({"psi0_amplitude": MAX_DATUM, "boundary_c": MAX_DATUM,
+                               "boundary_d": -MAX_DATUM}))
+    out = tmp_path / "out"
+    for scenario in SCENARIOS:
+        assert main([scenario, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    written = sorted(out.rglob("*.json"))
+    # summary.json of each scenario, the report.json of controlled, table1,
+    # convexity and each of the three sweep cells
+    assert len(written) == 5 + 3 + 3
+    for path in written:
+        _strict_json(path)
 
 
 def test_cli_convexity_zero_state_is_config_error(tmp_path, capsys):
