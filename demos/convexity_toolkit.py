@@ -49,8 +49,7 @@ print(f"  trajectory decay  : {rep.freq_oracle[mid]:.4f}")
 
 # explicit constants and the three-point inequality
 wp3 = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
-t1, t2, t3 = 0.004, 0.012, 0.02
-c = convexity_constants(wp3, grid, ell=2.0, t1=t1, t2=t2, t3=t3)
+c = convexity_constants(wp3, grid, ell=2.0)
 print(f"\nconstants: C = {c.c_const}, C0 = {c.c0}")
 print(f"three-point pair: M = {c.m_three_point:.4f}, D = {c.d_three_point:.2f}")
 print(f"calibrated pair:  M_ell = {c.m_ell:.4f}, D_ell = {c.d_ell:.2f}")
@@ -58,8 +57,8 @@ print(f"calibrated pair:  M_ell = {c.m_ell:.4f}, D_ell = {c.d_ell:.2f}")
 slacks = []
 for seed in range(20):
     w0 = random_smooth_state(grid, SplitMix64(seed))
-    flow = [evolve(w0, t, disc, scheme) for t in (t1, t2, t3)]
-    chk = three_point_check(flow, (t1, t2, t3), wp3, disc, scheme, constants=c)
+    flow = [evolve(w0, t, disc, scheme) for t in (c.t1, c.t2, c.t3)]
+    chk = three_point_check(flow, wp3, disc, scheme, constants=c)
     slacks.append(chk.slack)
 print(f"three-point slack over 20 random smooth states: min = {min(slacks):.2f} (>= 0)")
 

@@ -13,7 +13,7 @@ import numpy as np
 from .convexity import WeightParams, check_admissible
 from .evolution import TimeScheme
 from .hum import HumConfig
-from .mesh import ConfigError, Grid, SubdomainMask, subdomain_mask
+from .mesh import ConfigError, Grid, SubdomainMask, build_discretization, subdomain_mask
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,13 @@ class ExperimentConfig:
 
 _PSI0_KINDS = ("sine", "gaussian", "nodes-from-file")
 
-# Largest magnitude an initial state may hold.  The weighted products square
-# it: at the reference setup the scenarios write finite JSON up to 1e153 and
-# Infinity or NaN from 1e154 on, so this leaves four decades.
+# Largest magnitude of a boundary trace, and largest weighted norm |u| of an
+# initial state.  The weighted products square |u|, which grows with the
+# domain as well as with the datum: at the reference setup the scenarios
+# write finite JSON up to a sine amplitude of 1e153 (|u| = 7e152) and
+# Infinity or NaN from 1e154 on.
 MAX_DATUM = 1e150
+MAX_NORM = 1e151
 
 
 def _is_number(v) -> bool:
@@ -169,8 +172,9 @@ def make_weight(cfg: ExperimentConfig) -> WeightParams:
 
 def initial_state(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:
     """Initial datum: interior profile per ``psi0_kind``, traces from
-    ``boundary_c`` / ``boundary_d``.  An entry beyond ``MAX_DATUM`` in
-    magnitude is the fault of the field that set it."""
+    ``boundary_c`` / ``boundary_d``.  A trace beyond ``MAX_DATUM`` in
+    magnitude, or a weighted norm beyond ``MAX_NORM``, is the fault of the
+    field that set the trace or the largest share of the norm."""
     x = grid.nodes
     if cfg.psi0_kind == "sine":
         xi = (x - cfg.a) / (cfg.b - cfg.a)
@@ -205,7 +209,15 @@ def initial_state(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ConfigError("psi0_kind", "initial state contains non-finite entries")
     peak = np.max(np.abs(u))
-    if peak > MAX_DATUM:
-        field = "psi0_path" if cfg.psi0_kind == "nodes-from-file" else "psi0_amplitude"
-        raise ConfigError(field, f"initial state reaches {peak:g}, above the bound {MAX_DATUM:g}")
+    if peak > 0.0:
+        # |u|^2 = sum w u^2 taken relative to the peak, so it cannot overflow
+        # here; its shares are the two traces' and the profile's.
+        share = build_discretization(grid).w * (u / peak) ** 2
+        size = float(peak) * math.sqrt(share.sum())
+        if size > MAX_NORM:
+            profile = "psi0_path" if cfg.psi0_kind == "nodes-from-file" else "psi0_amplitude"
+            parts = {"boundary_c": share[0], profile: share[1:-1].sum(), "boundary_d": share[-1]}
+            raise ConfigError(max(parts, key=parts.get),
+                              f"initial state has weighted norm {size:g}, "
+                              f"above the bound {MAX_NORM:g}")
     return u

@@ -82,7 +82,8 @@ def check_admissible(wp: WeightParams, grid: Grid) -> None:
 
 @dataclass(frozen=True)
 class ConvexityConstants:
-    """Explicit constants of the convexity chain for one parameter choice."""
+    """Explicit constants of the convexity chain for one parameter choice,
+    together with the calibrated three-point times t1, t2, t3 they hold at."""
 
     c_const: float
     c0: float
@@ -91,6 +92,9 @@ class ConvexityConstants:
     d_ell: float
     m_three_point: float
     d_three_point: float
+    t1: float
+    t2: float
+    t3: float
 
 
 def _boundary_constants(wp: WeightParams, a: float, b: float) -> tuple[float, float]:
@@ -110,49 +114,38 @@ def _boundary_constants(wp: WeightParams, a: float, b: float) -> tuple[float, fl
     return c_const, c0
 
 
-def _time_weight_integral(wp: WeightParams, c0: float, lo: float, hi: float) -> float:
-    # Antiderivative of (T - t + hbar)^(-1-c0) is (T - t + hbar)^(-c0) / c0.
-    return (wp.upsilon(hi) ** (-c0) - wp.upsilon(lo) ** (-c0)) / c0
-
-
-def _three_point_constants(
-    wp: WeightParams, c_const: float, c0: float, t1: float, t2: float, t3: float
-) -> tuple[float, float]:
-    if not 0.0 < t1 < t2 < t3 <= wp.t_final:
-        raise ValueError(f"need 0 < t1 < t2 < t3 <= {wp.t_final}, got ({t1}, {t2}, {t3})")
-    m = _time_weight_integral(wp, c0, t2, t3) / _time_weight_integral(wp, c0, t1, t2)
-    d = 2.0 * (1.0 + m) * (t3 - t1) ** 2 * c_const / wp.hbar**2
-    return m, d
-
-
-def convexity_constants(
-    wp: WeightParams, grid: Grid, ell: float, t1: float, t2: float, t3: float
-) -> ConvexityConstants:
-    """All explicit constants: the boundary pair (C, C0), the three-point
-    pair (M, D) for the given triple, and the calibrated pair (M_ell, D_ell)
-    for the triple T, T - ell*hbar, T - 2*ell*hbar."""
+def convexity_constants(wp: WeightParams, grid: Grid, ell: float) -> ConvexityConstants:
+    """All explicit constants: the boundary pair (C, C0), the calibrated
+    three-point times t1 = T - 2*ell*hbar, t2 = T - ell*hbar, t3 = T, and
+    the three-point pair (M, D) at them.  The calibrated pair is
+    M_ell = M and D_ell = 2 C ell^2 (1 + M), which is D / 4; the three-point
+    check uses D."""
     check_admissible(wp, grid)
     if wp.s == 0.0:
         raise ConfigError("s", "constants need s > 0 (s = 0 is a test-only weight mode)")
     if not ell > 1.0:
         raise ConfigError("ell", f"must exceed 1, got {ell}")
+    t1, t2, t3 = wp.t_final - 2.0 * ell * wp.hbar, wp.t_final - ell * wp.hbar, wp.t_final
     # 2*ell*hbar < T alone lets a tiny hbar collapse the calibrated times.
-    t_lo, t_mid = wp.t_final - 2.0 * ell * wp.hbar, wp.t_final - ell * wp.hbar
-    if not 0.0 < t_lo < t_mid < wp.t_final:
+    if not 0.0 < t1 < t2 < t3:
         raise ConfigError("hbar", f"need 0 < T - 2*ell*hbar < T - ell*hbar < T, got "
                                   f"T={wp.t_final}, ell={ell}, hbar={wp.hbar}")
     c_const, c0 = _boundary_constants(wp, grid.a, grid.b)
-    m, d = _three_point_constants(wp, c_const, c0, t1, t2, t3)
-    m_ell = ((ell + 1.0) ** c0 - 1.0) / (1.0 - ((ell + 1.0) / (2.0 * ell + 1.0)) ** c0)
-    d_ell = 2.0 * c_const * ell**2 * (1.0 + m_ell)
+    # M is the ratio of the integrals of (T - t + hbar)^(-1-c0) over [t2, t3]
+    # and [t1, t2]; the antiderivative is (T - t + hbar)^(-c0) / c0.
+    w1, w2, w3 = (wp.upsilon(t) ** (-c0) for t in (t1, t2, t3))
+    m = ((w3 - w2) / c0) / ((w2 - w1) / c0)
     return ConvexityConstants(
         c_const=c_const,
         c0=c0,
         ell=ell,
-        m_ell=m_ell,
-        d_ell=d_ell,
+        m_ell=m,
+        d_ell=2.0 * c_const * ell**2 * (1.0 + m),
         m_three_point=m,
-        d_three_point=d,
+        d_three_point=2.0 * (1.0 + m) * (t3 - t1) ** 2 * c_const / wp.hbar**2,
+        t1=t1,
+        t2=t2,
+        t3=t3,
     )
 
 
@@ -243,7 +236,6 @@ class ThreePointCheck:
 
 def three_point_check(
     states: Sequence[State],
-    times: Sequence[float],
     wp: WeightParams,
     d: Discretization,
     scheme: TimeScheme,
@@ -251,20 +243,19 @@ def three_point_check(
 ) -> ThreePointCheck:
     """Evaluate M log|F(t1)|^2 + log|F(t3)|^2 + D - (1+M) log|F(t2)|^2.
 
-    ``states`` are one free flow's states at ``times = (t1, t2, t3)``, e.g.
-    ``[evolve(u0, t, d, scheme) for t in times]``.  The inequality holds in
-    the continuum, so the pass threshold allows a discretization margin of
-    5 (dx + dt) times the magnitude of the logs on top of a 1e-6 floor.
-    M and D are ``constants``' three-point pair, from
-    :func:`convexity_constants`, which checks the weight's admissibility.
-    The weight ``wp`` only forms F, so the s = 0 test mode, which has no
-    constants of its own, can borrow those of an admissible weight.
+    ``states`` are one free flow's states at ``constants``' calibrated times
+    t1, t2, t3, e.g. ``[evolve(u0, t, d, scheme) for t in (c.t1, c.t2,
+    c.t3)]``.  The inequality holds in the continuum, so the pass threshold
+    allows a discretization margin of 5 (dx + dt) times the magnitude of the
+    logs on top of a 1e-6 floor.  M and D are ``constants``' three-point
+    pair, from :func:`convexity_constants`, which checks the weight's
+    admissibility.  The weight ``wp`` only forms F, so the s = 0 test mode,
+    which has no constants of its own, can borrow those of an admissible
+    weight, and with them their times.
     """
-    if not len(states) == len(times) == 3:
-        raise ValueError(f"need three states at three times, got {len(states)} and {len(times)}")
-    t1, t2, t3 = times
-    if not 0.0 < t1 < t2 < t3 <= scheme.t_final:
-        raise ValueError(f"need 0 < t1 < t2 < t3 <= {scheme.t_final}, got ({t1}, {t2}, {t3})")
+    if not len(states) == 3:
+        raise ValueError(f"need three states at three times t1, t2, t3, got {len(states)}")
+    times = (constants.t1, constants.t2, constants.t3)
     m, d_const = constants.m_three_point, constants.d_three_point
     logs = []
     for u, t in zip(states, times):

@@ -165,10 +165,7 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     t0 = time.perf_counter()
     out, grid, d, mask, scheme, psi0 = _setup(cfg, "convexity")
     wp = make_weight(cfg)
-    t3 = cfg.t_final
-    t2 = cfg.t_final - cfg.ell * cfg.hbar
-    t1 = cfg.t_final - 2.0 * cfg.ell * cfg.hbar
-    constants = cvx.convexity_constants(wp, grid, cfg.ell, t1, t2, t3)
+    constants = cvx.convexity_constants(wp, grid, cfg.ell)
 
     traj = evolve_trajectory(psi0, d, scheme, stride=cfg.snapshot_stride)
     try:
@@ -186,13 +183,12 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     # One plan for the whole ensemble, one state per column: t1, t2, t3 on
     # the configured scheme and the 1x/2.5x/5x observability horizons in n
     # steps of h / n each.  Targets that share a step size share one march.
-    times = (t1, t2, t3)
+    times = (constants.t1, constants.t2, constants.t3)
     horizons = [(mult * cfg.t_final, int(round(cfg.n_steps * mult)))
                 for mult in (1.0, 2.5, 5.0)]
     targets = [steps_for(t, scheme) for t in times] + [(n, h / n) for h, n in horizons]
     at = _evolve_to(np.column_stack(states), targets, d, scheme.theta)
-    checks = [cvx.three_point_check([block[:, i] for block in at[:3]], times, wp, d, scheme,
-                                    constants)
+    checks = [cvx.three_point_check([block[:, i] for block in at[:3]], wp, d, scheme, constants)
               for i in range(n_seeds)]
     finals = [(h, block) for (h, _), block in zip(horizons, at[3:])]
     initials = [norm(u0, d) for u0 in states]
@@ -215,7 +211,7 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     cvx.write_frequency_csv(freq, out / "frequency.csv")
     violations = sum(1 for c in checks if not c.passed)
     report = {
-        "constants": {**asdict(constants), "t1": t1, "t2": t2, "t3": t3},
+        "constants": asdict(constants),
         "three_point": {
             "n_seeds": n_seeds,
             "violations": violations,

@@ -358,14 +358,14 @@ def test_criterion_7_convexity_suite():
     mask = subdomain_mask(grid, 0.2, 0.8)
     scheme = TimeScheme(0.02, 200, "crank_nicolson")
     wp_tp = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
-    t1, t2, t3 = 0.004, 0.012, 0.02
-    constants = convexity_constants(wp_tp, grid, 2.0, t1, t2, t3)
+    constants = convexity_constants(wp_tp, grid, 2.0)
+    t1, t2, t3 = constants.t1, constants.t2, constants.t3
     min_slack = np.inf
     tp_ok = True
     for seed in range(20):
         u0 = random_smooth_state(grid, SplitMix64(seed))
         states = [evolve(u0, t, d, scheme) for t in (t1, t2, t3)]
-        chk = three_point_check(states, (t1, t2, t3), wp_tp, d, scheme, constants=constants)
+        chk = three_point_check(states, wp_tp, d, scheme, constants=constants)
         min_slack = min(min_slack, chk.slack)
         tp_ok &= chk.slack >= -chk.tolerance
 

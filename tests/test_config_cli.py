@@ -390,13 +390,18 @@ def test_cli_exit_codes(tmp_path, capsys, step_count):
 
 def test_datum_beyond_the_bound_is_config_error(tmp_path, capsys, step_count):
     # Past MAX_DATUM the weighted products overflow; the field that set the
-    # entry is named before any step is taken, in every scenario.
+    # entry is named before any step is taken, in every scenario.  On a
+    # domain of length 1e10 entries of 1e150 are past the bound on the
+    # weighted norm, and the field with its largest share is named.
     nodes = tmp_path / "nodes.txt"
     nodes.write_text("0.0\n" * 13 + "1e200\n" + "0.0\n" * 12)
     cfg = tmp_path / "huge.json"
+    wide = {"b": 1e10, "omega_lo": 2e9, "omega_hi": 8e9, "x0": 5e9, "s": 1e-5,
+            "t_final": 1e17, "tau": 5e16, "hbar": 1}
     for data in ({"psi0_amplitude": 1e154},
                  {"psi0_kind": "nodes-from-file", "psi0_path": str(nodes)},
-                 {"boundary_c": 1e154}, {"boundary_d": -1e200}):
+                 {"boundary_c": 1e154}, {"boundary_d": -1e200},
+                 {**wide, "psi0_amplitude": 1e150}, {**wide, "boundary_c": 1e150}):
         cfg.write_text(json.dumps(data))
         field = next(reversed(data))
         for scenario in SCENARIOS:

@@ -87,7 +87,7 @@ def test_admissibility_bound():
 def test_constants_instantiation():
     grid = Grid(0.0, 1.0, 25)
     wp = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
-    c = convexity_constants(wp, grid, ell=2.0, t1=0.004, t2=0.012, t3=0.02)
+    c = convexity_constants(wp, grid, ell=2.0)
     assert c.c0 == pytest.approx(0.89875, abs=1e-12)
     assert c.c_const == pytest.approx(0.78125, abs=1e-12)
     assert c.m_three_point > 0 and c.d_three_point > 0
@@ -98,48 +98,53 @@ def test_constants_instantiation():
 def test_constants_time_ratio_matches_quadrature():
     grid = Grid(0.0, 1.0, 25)
     wp = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
-    t1, t2, t3 = 0.004, 0.012, 0.02
-    c = convexity_constants(wp, grid, ell=2.0, t1=t1, t2=t2, t3=t3)
-    num = time_weight_quadrature(wp.t_final, wp.hbar, c.c0, t2, t3)
-    den = time_weight_quadrature(wp.t_final, wp.hbar, c.c0, t1, t2)
+    c = convexity_constants(wp, grid, ell=2.0)
+    num = time_weight_quadrature(wp.t_final, wp.hbar, c.c0, c.t2, c.t3)
+    den = time_weight_quadrature(wp.t_final, wp.hbar, c.c0, c.t1, c.t2)
     assert c.m_three_point == pytest.approx(num / den, rel=1e-8)
 
 
+def _admissible_weight(seed):
+    rng = SplitMix64(seed)
+    x0 = rng.uniform(0.25, 0.75)
+    s = rng.uniform(0.1, 1.0)
+    hbar = rng.uniform(0.001, 0.004)
+    return WeightParams(x0=x0, s=s, hbar=hbar, t_final=0.02)
+
+
 def test_constants_calibrated_pair_consistent():
-    # the calibrated pair is the general three-point pair at the triple
-    # (T - 2 ell hbar, T - ell hbar, T)
+    # the constants own the calibrated triple (T - 2 ell hbar, T - ell hbar,
+    # T); M is the quadrature ratio over it and D_ell is D / 4
     grid = Grid(0.0, 1.0, 25)
-    wp = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
-    ell = 2.0
-    t1, t2, t3 = 0.02 - 2 * ell * wp.hbar, 0.02 - ell * wp.hbar, 0.02
-    c = convexity_constants(wp, grid, ell=ell, t1=t1, t2=t2, t3=t3)
-    assert c.m_ell == pytest.approx(c.m_three_point, rel=1e-10)
+    for seed in range(5):
+        wp = _admissible_weight(seed)
+        T, ell, hbar = wp.t_final, 2.0, wp.hbar
+        c = convexity_constants(wp, grid, ell=ell)
+        assert (c.t1, c.t2, c.t3) == (T - 2.0 * ell * hbar, T - ell * hbar, T)
+        num = time_weight_quadrature(T, hbar, c.c0, c.t2, c.t3)
+        den = time_weight_quadrature(T, hbar, c.c0, c.t1, c.t2)
+        assert c.m_three_point == c.m_ell == pytest.approx(num / den, rel=1e-8)
+        assert c.d_three_point == pytest.approx(4 * c.d_ell, rel=1e-12)
 
 
 def test_constants_reject_degenerate():
     grid = Grid(0.0, 1.0, 25)
     szero = WeightParams(x0=0.5, s=0.0, hbar=0.01, t_final=0.02)
     with pytest.raises(ValueError) as err:
-        convexity_constants(szero, grid, ell=2.0, t1=0.004, t2=0.012, t3=0.02)
+        convexity_constants(szero, grid, ell=2.0)
     assert err.value.field == "s"
     with pytest.raises(ValueError) as err:
-        convexity_constants(WP, grid, ell=1.0, t1=0.004, t2=0.012, t3=0.02)
+        convexity_constants(WP, grid, ell=1.0)
     assert err.value.field == "ell"
     with pytest.raises(ValueError) as err:
         # 2 ell hbar must stay below the horizon for the calibrated pair
-        convexity_constants(WP, grid, ell=2.0, t1=0.004, t2=0.012, t3=0.02)
+        convexity_constants(WP, grid, ell=2.0)
     assert err.value.field == "hbar"
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_constants_positive_for_admissible_params(seed):
-    rng = SplitMix64(seed)
-    grid = Grid(0.0, 1.0, 25)
-    x0 = rng.uniform(0.25, 0.75)
-    s = rng.uniform(0.1, 1.0)
-    hbar = rng.uniform(0.001, 0.004)
-    wp = WeightParams(x0=x0, s=s, hbar=hbar, t_final=0.02)
-    c = convexity_constants(wp, grid, ell=2.0, t1=0.02 - 4 * hbar, t2=0.02 - 2 * hbar, t3=0.02)
+    c = convexity_constants(_admissible_weight(seed), Grid(0.0, 1.0, 25), ell=2.0)
     assert c.c_const > 0 and 0 < c.c0 < 1
     assert c.m_ell > 0 and c.d_ell > 0
 
@@ -260,10 +265,10 @@ def test_three_point_constant_state_slack_is_offset():
     scheme = TimeScheme(0.02, 40, "crank_nicolson")
     wp_flat = WeightParams(x0=0.5, s=0.0, hbar=0.004, t_final=0.02)
     wp_ref = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
-    constants = convexity_constants(wp_ref, grid, 2.0, 0.004, 0.012, 0.02)
-    times = (0.004, 0.012, 0.02)
+    constants = convexity_constants(wp_ref, grid, 2.0)
+    times = (constants.t1, constants.t2, constants.t3)
     states = [evolve(np.full(26, 1.7), t, d, scheme) for t in times]
-    chk = three_point_check(states, times, wp_flat, d, scheme, constants=constants)
+    chk = three_point_check(states, wp_flat, d, scheme, constants=constants)
     # equal norms at the three times leave exactly the additive constant
     assert chk.slack == pytest.approx(constants.d_three_point, rel=1e-10)
     assert chk.passed
@@ -271,14 +276,10 @@ def test_three_point_constant_state_slack_is_offset():
 
 def test_three_point_rejects_degenerate_triple(setup25):
     grid, d, _, scheme, psi0 = setup25
-    constants = convexity_constants(WeightParams(0.5, 0.9, 0.004, 0.02), grid, 2.0,
-                                    0.004, 0.012, 0.02)
-    with pytest.raises(ValueError):
-        three_point_check([psi0] * 3, (0.01, 0.01, 0.02), WP, d, scheme, constants)
+    constants = convexity_constants(WeightParams(0.5, 0.9, 0.004, 0.02), grid, 2.0)
     # one state per time: a block of states as columns is not three states
     with pytest.raises(ValueError, match="three states at three times"):
-        three_point_check(np.column_stack([psi0] * 3), (0.005, 0.01, 0.02), WP, d, scheme,
-                          constants)
+        three_point_check(np.column_stack([psi0] * 3), WP, d, scheme, constants)
 
 
 def test_three_point_ensemble_nonnegative():
@@ -286,12 +287,11 @@ def test_three_point_ensemble_nonnegative():
     d = build_discretization(grid)
     scheme = TimeScheme(0.02, 200, "crank_nicolson")
     wp = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
-    t1, t2, t3 = 0.004, 0.012, 0.02
-    constants = convexity_constants(wp, grid, 2.0, t1, t2, t3)
+    constants = convexity_constants(wp, grid, 2.0)
     for seed in range(20):
         u0 = random_smooth_state(grid, SplitMix64(seed))
-        states = [evolve(u0, t, d, scheme) for t in (t1, t2, t3)]
-        chk = three_point_check(states, (t1, t2, t3), wp, d, scheme, constants=constants)
+        states = [evolve(u0, t, d, scheme) for t in (constants.t1, constants.t2, constants.t3)]
+        chk = three_point_check(states, wp, d, scheme, constants=constants)
         assert chk.slack >= -chk.tolerance
 
 
