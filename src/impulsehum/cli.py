@@ -71,11 +71,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.scenario == "uncontrolled":
             summary = run_uncontrolled(cfg)
         elif args.scenario == "controlled":

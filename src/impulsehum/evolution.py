@@ -58,7 +58,8 @@ class TimeScheme:
         must be an exact step multiple.  tau / t_final is snapped to a nearby
         rational and n_steps is rounded up to a multiple of its denominator;
         a refinement past twice n_steps is refused rather than silently
-        multiplying the work.
+        multiplying the work, and so is a tau the refined grid reads as its
+        final step (:func:`_impulse_step`).
         """
         if not 0.0 < tau < self.t_final:
             raise ConfigError("tau", f"must lie in (0, {self.t_final}), got {tau}")
@@ -71,8 +72,7 @@ class TimeScheme:
                 f"n_steps={self.n_steps} (grid spacing t_final/n_steps={self.dt})"
             )
         scheme = TimeScheme(self.t_final, n, self.method)
-        if _grid_step(tau, scheme.dt) is None:
-            raise ConfigError("tau", f"{tau} cannot be aligned to the time grid")
+        _impulse_step(tau, scheme)
         return scheme
 
 
@@ -315,15 +315,16 @@ def evolve_trajectory(
 
 
 def _impulse_step(tau: float, scheme: TimeScheme) -> int:
-    """The step count k with k dt = tau, for tau on the time grid inside
-    (0, t_final)."""
+    """The impulse's step count k, 1 <= k <= n_steps - 1, with tau = k dt
+    as :func:`_grid_step` reads it; any other tau, one read as the final
+    step included, is a ConfigError on tau."""
     if not 0.0 < tau < scheme.t_final:
-        raise ValueError(f"tau must lie in (0, {scheme.t_final}), got {tau}")
+        raise ConfigError("tau", f"tau must lie in (0, {scheme.t_final}), got {tau}")
     k = _grid_step(tau, scheme.dt)
-    if k is None:
-        raise ValueError(
-            f"tau={tau} is off the time grid (dt={scheme.dt}); "
-            "use TimeScheme.with_impulse_alignment"
+    if k is None or k >= scheme.n_steps:
+        raise ConfigError(
+            "tau", f"{tau} is off the time grid or at its final step; it must be k dt with "
+            f"0 < k < {scheme.n_steps} (dt={scheme.dt}, see TimeScheme.with_impulse_alignment)"
         )
     return k
 

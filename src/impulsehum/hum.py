@@ -138,7 +138,8 @@ def penalized_objective(
 
 def _span(cfg: HumConfig, scheme: TimeScheme) -> float:
     """T - tau as the n - k steps of dt after the impulse's step k; raises
-    unless t_final is the scheme's step n and tau a step (``_grid_step``)."""
+    unless t_final is the scheme's step n (``_grid_step``) and tau a step
+    before it (:func:`_impulse_step`)."""
     if _grid_step(cfg.t_final, scheme.dt) != scheme.n_steps:
         raise ValueError(
             f"a HUM solve needs the scheme's horizon: HumConfig.t_final={cfg.t_final}, "

@@ -22,6 +22,16 @@ def setup25():
     return grid, d, mask, scheme, psi0
 
 
+@pytest.fixture(params=[(0.02 * (1 - 1e-12), 0.02, 200), (36.999999963, 37.0, 50)],
+                ids=["T0.02-n200", "T37-n50"])
+def final_step_tau(request):
+    """(tau, t_final, n_steps) with tau inside (0, t_final) but read by
+    ``_grid_step`` as the final step n: 2e-10 steps short of it on the
+    reference grid, and 5e-8 = 1e-9 n steps short, the edge of the
+    tolerance, at t_final 37 with 50 steps."""
+    return request.param
+
+
 @pytest.fixture
 def setup4():
     """Tiny grid where dense oracles are exact and cheap."""

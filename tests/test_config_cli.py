@@ -115,6 +115,19 @@ def test_unplaceable_impulse_is_config_error(tmp_path):
     assert main(["controlled", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_tau_read_as_final_step_exits_2_before_any_step(scenario, final_step_tau, step_count,
+                                                         tmp_path, capsys):
+    # Such a tau leaves no step for the control to act over; validation
+    # rejects it, so no scenario takes a step.
+    tau, t_final, n_steps = final_step_tau
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"tau": tau, "t_final": t_final, "n_steps": n_steps}))
+    assert main([scenario, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config field 'tau'" in capsys.readouterr().err
+    assert step_count[0] == 0
+
+
 def test_inadmissible_weight_slope_is_config_error(tmp_path):
     cfg = replace(ExperimentConfig(), a=0.0, b=10.0, omega_lo=2.0, omega_hi=8.0,
                   x0=5.0, s=1.0, tau=0.01)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from impulsehum import (
+    ConfigError,
     ExperimentConfig,
     Grid,
     HumConfig,
@@ -30,6 +31,8 @@ from impulsehum import (
     write_solution_json,
     write_state_csv,
 )
+
+from impulsehum.evolution import _impulse_step
 
 from oracles import assemble_operator, central_difference, dense_gramian
 
@@ -279,6 +282,33 @@ def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, se
     assert len(d.step_cache) == 1
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    t_final=st.floats(1e-3, 1e3),
+    n_steps=st.integers(1, 300),
+    q=st.integers(1, 400),
+    p_frac=st.floats(0.0, 1.0),
+    rel=st.sampled_from([0.0, -1e-12, 1e-12, -1e-10, 1e-10, -1e-9, 1e-9, -1e-8, 1e-8])
+    | st.floats(-1e-8, 1e-8),
+)
+@example(t_final=0.02, n_steps=200, q=1, p_frac=1.0, rel=-1e-12)
+def test_validated_tau_is_an_interior_step(t_final, n_steps, q, p_frac, rel):
+    # tau within a relative 1e-8 of p/q t_final, 0 <= p <= q, so taus near
+    # both ends of the horizon and just off the grid are drawn.  Whatever
+    # validate accepts is an interior step of the aligned grid, and the
+    # impulse's time k dt, as pre_impulse_flow stores it, reads back as k.
+    tau = t_final * round(p_frac * q) / q * (1 + rel)
+    try:
+        cfg = validate(replace(ExperimentConfig(), t_final=t_final, n_steps=n_steps, tau=tau))
+    except ConfigError as err:
+        assert err.field == "tau"
+        return
+    scheme = TimeScheme(cfg.t_final, cfg.n_steps, cfg.method)
+    k = _impulse_step(cfg.tau, scheme)
+    assert 1 <= k < scheme.n_steps
+    assert _impulse_step(k * scheme.dt, scheme) == k
+
+
 def test_one_factor_per_solve_off_the_default_horizon():
     # tau = 1.1 and T - tau lie on the grid of dt = 0.01, though T - tau
     # (0.8999999999999999) / 90 is not 0.01 in floating point.  Every span
@@ -346,6 +376,24 @@ def test_off_grid_tau_rejected_before_marching(step_count, setup25):
     for solve in solves:
         with pytest.raises(ValueError, match="off the time grid"):
             solve()
+    assert step_count[0] == 0
+
+
+def test_tau_read_as_final_step_rejected_before_marching(final_step_tau, step_count, setup25):
+    tau, t_final, n_steps = final_step_tau
+    _, d, mask, _, psi0 = setup25
+    scheme = TimeScheme(t_final, n_steps)
+    cfg = HumConfig(epsilon=1e-2, tau=tau, t_final=t_final)
+    h = np.zeros_like(psi0)
+    solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
+              lambda: solve_cost_weighted(psi0, cfg, d, mask, scheme),
+              lambda: gramian_apply(psi0, cfg, d, mask, scheme),
+              lambda: duality_residual(psi0, h, psi0, cfg, d, mask, scheme),
+              lambda: solve_impulsive(psi0, h, tau, d, mask, scheme)]
+    for solve in solves:
+        with pytest.raises(ConfigError, match="0 < k <") as err:
+            solve()
+        assert err.value.field == "tau"
     assert step_count[0] == 0
 
 
