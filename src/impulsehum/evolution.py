@@ -100,49 +100,43 @@ def _make_step(
     """The one-step map on states of ``shape``: one state, or a block of
     shape (n_dof, m) holding one state per column.
 
-    A block's right-hand side is formed on the block read as one
-    column-major vector, with the band coefficients tiled once per column.
-    Each entry is formed by the same operations in the same order as when
-    its column is stepped alone (the entries at column seams also get a
-    -0.0 addend, which changes no bit), and one pbtrs call solves all
-    columns, so each column is bit-identical to stepping it alone, signed
-    zeros included.
+    The columns are copied into one buffer with a zero after each (and one
+    before the first), and entry i of each column is formed as
+    (diag_i u_i + off_i u_{i+1}) + off_{i-1} u_{i-1}: one product of the
+    coefficients with a strided view of the neighbours, then two adds.  A
+    coefficient that faces a padding zero is -0.0, so its term is -0.0,
+    which leaves every float bitwise unchanged (+0.0 would turn a -0.0 entry
+    into +0.0).  Backward Euler (c = 0) skips the neighbour terms: their
+    coefficients are zeros, whose products are +0.0 for some u.  One pbtrs
+    call solves all columns, so each column is bit-identical to stepping it
+    alone, signed zeros included.  The result is the step's own buffer,
+    overwritten by its next call.
     """
     factor = _step_factor(d, dt, theta)
     (pbtrs,) = get_lapack_funcs(("pbtrs",), (factor,))
     c = (1.0 - theta) * dt
-    diag = d.w + c * d.k_main
-    off = c * d.k_off
-    block = len(shape) == 2
-    if block:
-        n, m = shape
-        diag = np.tile(diag, m)
-        off = np.tile(np.append(off, 0.0), m)[:-1]
-        tmp = np.empty(n * m - 1)
-        # Entry p of tmp couples vector entries p and p + 1.  At the m - 1
-        # seams between columns it is set to -0.0, and adding -0.0 leaves
-        # any float bitwise unchanged (a zero coupling's +0.0 would turn a
-        # -0.0 entry into +0.0).  This is cheaper than a masked np.add.
-        seams = tmp[n - 1::n]
+    n, m = d.grid.n_dof, (shape[1] if len(shape) == 2 else 1)
+    coef = np.full((3, 1, n), -0.0)
+    coef[0, :, 1:] = coef[2, :, :-1] = c * d.k_off
+    coef[1] = d.w + c * d.k_main
+    # window[k, j, i] = padded[j (n + 1) + i + k] is the lower (k = 0), own
+    # and upper neighbour of entry i of column j.
+    padded = np.zeros(1 + m * (n + 1))
+    cols = padded[1:].reshape(m, n + 1)[:, :n].T.reshape(shape)
+    s = padded.itemsize
+    window = np.ndarray((3, m, n), buffer=padded, strides=(s, (n + 1) * s, s))
+    terms = np.empty((3, m, n))
+    lower, own, upper = terms
+    rhs = own.T.reshape(shape)
 
     def step(u: State) -> State:
-        if block:
-            v = u.ravel(order="F")
-            flat = diag * v
-            if c != 0.0:
-                lo, hi = flat[:-1], flat[1:]
-                np.multiply(off, v[1:], tmp)
-                seams.fill(-0.0)
-                np.add(lo, tmp, lo)
-                np.multiply(off, v[:-1], tmp)
-                seams.fill(-0.0)
-                np.add(hi, tmp, hi)
-            rhs = flat.reshape(shape, order="F")
+        cols[...] = u
+        if c != 0.0:
+            np.multiply(coef, window, terms)
+            np.add(own, upper, own)
+            np.add(own, lower, own)
         else:
-            rhs = diag * u
-            if c != 0.0:
-                rhs[:-1] += off * u[1:]
-                rhs[1:] += off * u[:-1]
+            np.multiply(coef[1], window[1], own)
         x, info = pbtrs(factor, rhs, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
@@ -162,6 +156,8 @@ def steps_for(t: float, scheme: TimeScheme) -> tuple[int, float]:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0:
         return 0, scheme.dt
+    if t / scheme.dt == inf:
+        raise ValueError(f"t={t} is more steps of dt={scheme.dt} than a float can count")
     k = _grid_step(t, scheme.dt)
     if k is not None:
         return k, scheme.dt

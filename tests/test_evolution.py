@@ -80,6 +80,12 @@ def test_nonfinite_rejected(setup4):
             evolve(np.zeros(5), t, d, scheme)
     with pytest.raises(ValueError, match="has shape"):
         evolve_trajectory(np.zeros(4), d, scheme)
+    # a finite span whose step count overflows a float
+    tiny = TimeScheme(1e-10, 1)
+    with pytest.raises(ValueError, match=r"t=1e\+300 .* dt=1e-10"):
+        steps_for(1e300, tiny)
+    with pytest.raises(ValueError, match=r"t=1e\+300 .* dt=1e-10"):
+        evolve(np.zeros(5), 1e300, d, tiny)
     # blocks: one state per column, rows must match the grid
     with pytest.raises(ValueError, match="has shape"):
         evolve(np.zeros((6, 3)), 0.01, d, scheme)
@@ -127,6 +133,47 @@ def test_stepping_matches_reference_loop(nx, method):
         assert np.array_equal(imp.times, np.insert(np.arange(n_steps + 1), k, k) * scheme.dt)
         assert np.array_equal(imp.states, np.insert(ref, k, pre, axis=0))
         assert np.array_equal(imp.states[k], pre)
+
+
+@pytest.mark.parametrize("nx", [2, 5, 25, 100])
+def test_signed_zeros_match_reference_march(nx):
+    # Masked states whose zeros carry signs.  Backward Euler's neighbour
+    # coefficients are zeros, and adding their products would flip some
+    # -0.0 right-hand side entries to +0.0 (caught at nx = 5); so would a
+    # +0.0 term at either end of the stencil (caught at nx = 2).
+    grid = Grid(0.0, 1.0, nx)
+    d = build_discretization(grid)
+    mask = subdomain_mask(grid, 0.2, 0.8).mask
+    rng = np.random.default_rng(nx)
+    for trial in range(200):
+        u = mask * rng.standard_normal(nx + 1)
+        u[rng.random(nx + 1) < 0.3] *= 0.0
+        for method in ("backward_euler", "crank_nicolson"):
+            scheme = TimeScheme(0.02, 7, method)
+            ref = reference_march(u, d, 7, scheme.dt, scheme.theta)[0][-1]
+            assert evolve(u, 0.02, d, scheme).tobytes() == ref.tobytes(), (trial, method)
+
+
+def test_march_outputs_own_their_memory(setup25):
+    # The stepper reuses its buffers from step to step; no result may share
+    # them, or be changed by a later march on the same (d, dt).
+    _, d, _, scheme, psi0 = setup25
+    rng = np.random.default_rng(25)
+    block = rng.standard_normal((26, 3))
+    dt = scheme.dt
+    results = [*evolve_trajectory(psi0, d, scheme, stride=50).states,
+               evolve(psi0, 0.01, d, scheme), evolve(-psi0, 0.01, d, scheme),
+               evolve(block, 0.0, d, scheme), evolve(block, 0.01, d, scheme),
+               evolve(block, 0.02, d, scheme),
+               *_evolve_to(block, [(50, dt), (100, dt)], d, scheme.theta)]
+    before = [r.tobytes() for r in results]
+    later = [*evolve_trajectory(2.0 * psi0, d, scheme, stride=50).states,
+             evolve(3.0 * psi0, 0.01, d, scheme), evolve(-block, 0.02, d, scheme)]
+    assert [r.tobytes() for r in results] == before
+    arrays = [psi0, block, *results, *later]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
