@@ -5,15 +5,16 @@ method driven by conjugate gradients, and numerically verifies the
 logarithmic-convexity / observability machinery that guarantees such
 controls exist: frequency function, explicit constants, the three-point
 inequality, and single-time observability fits.
+
+The root exports the objects a caller builds and the library's functions;
+records a caller only receives (``HumSolution``, ``RunSummary``, ...) are
+imported from their modules.
 """
 
 from .config import ConfigError, ExperimentConfig, initial_state, load_config, validate
 from .convexity import (
-    ConvexityConstants,
-    ConvexityReport,
     ObservabilityFit,
     ObservabilitySample,
-    ThreePointCheck,
     WeightParams,
     admissible_s_bound,
     bound_satisfied,
@@ -37,9 +38,7 @@ from .evolution import (
     steps_for,
 )
 from .hum import (
-    CostBoundReport,
     HumConfig,
-    HumSolution,
     cg_solve,
     control_op,
     cost_bound_check,
@@ -52,10 +51,7 @@ from .hum import (
     write_state_csv,
 )
 from .mesh import (
-    Discretization,
     Grid,
-    State,
-    SubdomainMask,
     build_discretization,
     inner,
     norm,
@@ -64,8 +60,6 @@ from .mesh import (
 )
 from .rng import SplitMix64, random_smooth_state
 from .scenarios import (
-    RunSummary,
-    Table1Row,
     run_controlled,
     run_convexity,
     run_sweep,
@@ -77,22 +71,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "ConvexityConstants",
-    "ConvexityReport",
-    "CostBoundReport",
-    "Discretization",
     "ExperimentConfig",
     "Grid",
     "HumConfig",
-    "HumSolution",
     "ObservabilityFit",
     "ObservabilitySample",
-    "RunSummary",
     "SplitMix64",
-    "State",
-    "SubdomainMask",
-    "Table1Row",
-    "ThreePointCheck",
     "TimeScheme",
     "Trajectory",
     "WeightParams",

@@ -31,14 +31,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name, help_text in (
-        ("uncontrolled", "free evolution of the configured initial state"),
-        ("controlled", "single impulse-controlled solve (first penalty of the list)"),
-        ("table1", "penalty sweep summarized as one table"),
-        ("convexity", "frequency, three-point and observability-fit checks"),
-        ("sweep", "penalty sweep with full per-cell artifacts"),
-    ):
+    # name -> (help, runner), in the order --help lists them.
+    for name, (help_text, run) in {
+        "uncontrolled": ("free evolution of the configured initial state", run_uncontrolled),
+        "controlled": ("single impulse-controlled solve (first penalty of the list)",
+                       lambda cfg: run_controlled(cfg, cfg.epsilons[0])),
+        "table1": ("penalty sweep summarized as one table", run_table1),
+        "convexity": ("frequency, three-point and observability-fit checks", run_convexity),
+        "sweep": ("penalty sweep with full per-cell artifacts", run_sweep),
+    }.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory root")
         p.add_argument(
@@ -71,16 +74,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
-        if args.scenario == "uncontrolled":
-            summary = run_uncontrolled(cfg)
-        elif args.scenario == "controlled":
-            summary = run_controlled(cfg, cfg.epsilons[0])[0]
-        elif args.scenario == "table1":
-            summary = run_table1(cfg)
-        elif args.scenario == "convexity":
-            summary = run_convexity(cfg)
-        else:
-            summary = run_sweep(cfg)
+        summary = args.run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -41,8 +41,8 @@ class WeightParams:
             raise ConfigError("s", f"must lie in [0, 1], got {self.s}")
         if not 0.0 < self.hbar <= 1.0:
             raise ConfigError("hbar", f"must lie in (0, 1], got {self.hbar}")
-        if not self.t_final > 0:
-            raise ConfigError("t_final", f"must be positive, got {self.t_final}")
+        if not 0 < self.t_final < np.inf:
+            raise ConfigError("t_final", f"must be positive and finite, got {self.t_final}")
 
     def upsilon(self, t):
         return self.t_final - t + self.hbar

@@ -26,6 +26,10 @@ from .mesh import ConfigError, Discretization, State, SubdomainMask, _check_leng
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
+# The most steps one march may take, 500 000 times the default 200; a
+# longer span is refused, not marched.
+MAX_STEPS = 10**8
+
 
 @dataclass(frozen=True)
 class TimeScheme:
@@ -36,10 +40,10 @@ class TimeScheme:
     method: str = "crank_nicolson"
 
     def __post_init__(self) -> None:
-        if not self.t_final > 0:
-            raise ConfigError("t_final", f"must be positive, got {self.t_final}")
-        if self.n_steps < 1:
-            raise ConfigError("n_steps", f"must be at least 1, got {self.n_steps}")
+        if not 0 < self.t_final < inf:
+            raise ConfigError("t_final", f"must be positive and finite, got {self.t_final}")
+        if not 1 <= self.n_steps <= MAX_STEPS:
+            raise ConfigError("n_steps", f"must lie in [1, {MAX_STEPS}], got {self.n_steps}")
         if self.method not in _THETA:
             raise ConfigError("method", f"must be one of {sorted(_THETA)}, got {self.method!r}")
 
@@ -150,14 +154,16 @@ def steps_for(t: float, scheme: TimeScheme) -> tuple[int, float]:
 
     A t on the time grid (:func:`_grid_step`) takes k steps of the scheme's
     dt and is reached as k dt, within 1e-9 relative.  Off the grid the count
-    is rounded up and the step slightly shrunk, so t is hit exactly.
+    is rounded up and the step slightly shrunk, so t is hit exactly.  A t
+    past step :data:`MAX_STEPS` is refused.
     """
     if not 0 <= t < inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
     if t == 0:
         return 0, scheme.dt
-    if t / scheme.dt == inf:
-        raise ValueError(f"t={t} is more steps of dt={scheme.dt} than a float can count")
+    # Up to 1e-9 past MAX_STEPS, _grid_step reads t as step MAX_STEPS.
+    if t / scheme.dt - MAX_STEPS > 1e-9 * MAX_STEPS:
+        raise ValueError(f"t={t} is more than MAX_STEPS={MAX_STEPS} steps of dt={scheme.dt}")
     k = _grid_step(t, scheme.dt)
     if k is not None:
         return k, scheme.dt

@@ -62,6 +62,8 @@ class HumConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ConfigError("epsilons", f"entries must be positive, got {self.epsilon}")
+        if not 0.0 < self.t_final < np.inf:
+            raise ConfigError("t_final", f"must be positive and finite, got {self.t_final}")
         if not 0.0 < self.tau < self.t_final:
             raise ConfigError(
                 "tau", f"need 0 < tau < t_final, got tau={self.tau}, t_final={self.t_final}"

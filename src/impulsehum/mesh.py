@@ -144,8 +144,6 @@ def norm(u: State, d: Discretization) -> float:
 class SubdomainMask:
     """0/1 node mask of a closed observation interval strictly inside (a, b)."""
 
-    omega_lo: float
-    omega_hi: float
     mask: np.ndarray
 
 
@@ -167,7 +165,7 @@ def subdomain_mask(grid: Grid, omega_lo: float, omega_hi: float) -> SubdomainMas
             "omega_lo",
             f"omega=({omega_lo}, {omega_hi}) contains no interior grid node at nx={grid.nx}"
         )
-    return SubdomainMask(omega_lo=omega_lo, omega_hi=omega_hi, mask=m)
+    return SubdomainMask(m)
 
 
 def subdomain_norm(u: State, mask: SubdomainMask, d: Discretization) -> float:

@@ -46,18 +46,12 @@ from .rng import SplitMix64, random_smooth_state
 
 
 @dataclass(frozen=True)
-class Table1Row:
-    epsilon: float
-    iterations: int
-    final_norm: float
-    control_norm: float
-    converged: bool
-
-
-@dataclass(frozen=True)
 class RunSummary:
+    """One scenario run: its name, its HUM solves in penalty order (empty
+    for the free-flow scenarios) and its wall time."""
+
     scenario: str
-    rows: tuple
+    rows: tuple[HumSolution, ...]
     wall_time: float
 
 
@@ -77,9 +71,11 @@ def _setup(cfg: ExperimentConfig, scenario: str):
     return out, grid, d, mask, scheme, psi0
 
 
-def _row(sol: HumSolution) -> Table1Row:
-    return Table1Row(sol.epsilon, sol.iterations, sol.final_norm, sol.control_norm,
-                     sol.converged)
+def _row(sol: HumSolution) -> dict:
+    """The solve's ``summary.json`` row."""
+    return {"epsilon": sol.epsilon, "iterations": sol.iterations,
+            "final_norm": sol.final_norm, "control_norm": sol.control_norm,
+            "converged": sol.converged}
 
 
 def _write_summary(cfg: ExperimentConfig, out: Path, t0: float, fields: dict,
@@ -117,16 +113,15 @@ def run_uncontrolled(cfg: ExperimentConfig) -> RunSummary:
     return _write_summary(cfg, out, t0, fields)
 
 
-def run_controlled(cfg: ExperimentConfig, epsilon: float) -> tuple[RunSummary, HumSolution]:
+def run_controlled(cfg: ExperimentConfig, epsilon: float) -> RunSummary:
     """One impulse-controlled solve at the given penalty."""
     t0 = time.perf_counter()
     out, grid, d, mask, scheme, psi0 = _setup(cfg, "controlled")
     sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme)
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
     _write_cell(out, cfg, d, mask, scheme, free, sol)
-    row = _row(sol)
-    fields = {**asdict(row), "initial_norm": sol.initial_norm}
-    return _write_summary(cfg, out, t0, fields, (row,)), sol
+    fields = {**_row(sol), "initial_norm": sol.initial_norm}
+    return _write_summary(cfg, out, t0, fields, (sol,))
 
 
 def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
@@ -140,10 +135,9 @@ def run_table1(cfg: ExperimentConfig) -> RunSummary:
     t0 = time.perf_counter()
     out, grid, d, mask, scheme, psi0 = _setup(cfg, "table1")
     solves = list(_penalty_solves(cfg, d, mask, scheme, psi0))
-    rows = [_row(sol) for sol in solves]
     report = {repr(sol.epsilon): solution_to_dict(sol) for sol in solves}
     write_json({"per_epsilon": report}, out / "report.json")
-    return _write_summary(cfg, out, t0, {"rows": [asdict(r) for r in rows]}, rows)
+    return _write_summary(cfg, out, t0, {"rows": [_row(sol) for sol in solves]}, solves)
 
 
 def run_sweep(cfg: ExperimentConfig) -> RunSummary:
@@ -151,13 +145,13 @@ def run_sweep(cfg: ExperimentConfig) -> RunSummary:
     t0 = time.perf_counter()
     out, grid, d, mask, scheme, psi0 = _setup(cfg, "sweep")
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
-    rows = []
+    solves = []
     for i, sol in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
         cell = out / f"cell{i:02d}_eps_{sol.epsilon:g}"
         cell.mkdir(parents=True, exist_ok=True)
         _write_cell(cell, cfg, d, mask, scheme, free, sol)
-        rows.append(_row(sol))
-    return _write_summary(cfg, out, t0, {"rows": [asdict(r) for r in rows]}, rows)
+        solves.append(sol)
+    return _write_summary(cfg, out, t0, {"rows": [_row(sol) for sol in solves]}, solves)
 
 
 def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:

@@ -20,8 +20,9 @@ from impulsehum import (
 )
 from impulsehum.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from impulsehum.config import MAX_DATUM, make_grid
+from impulsehum.scenarios import _row
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 SCENARIOS = ("uncontrolled", "controlled", "table1", "sweep", "convexity")
 
@@ -220,7 +221,7 @@ def test_run_uncontrolled_default_decays(tmp_path):
 def test_run_controlled_reduces_final_norm(tmp_path):
     cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
     run_uncontrolled(cfg)
-    _, sol = run_controlled(cfg, 1e-2)
+    (sol,) = run_controlled(cfg, 1e-2).rows
     unc = json.loads((tmp_path / "uncontrolled" / "summary.json").read_text())
     assert sol.final_norm < unc["final_norm"]
     for name in ("summary.json", "trajectory.csv", "control.csv", "report.json"):
@@ -234,7 +235,7 @@ def test_run_table1_rows_sorted_and_deterministic(tmp_path):
     eps = [r.epsilon for r in summary.rows]
     assert eps == [1e-2, 1e-3, 1e-4]
     # a rerun reproduces every row, and the report holds one entry per row
-    assert run_table1(cfg).rows == summary.rows
+    assert [_row(r) for r in run_table1(cfg).rows] == [_row(r) for r in summary.rows]
     report = json.loads((tmp_path / "table1" / "report.json").read_text())
     assert sorted(map(float, report["per_epsilon"]), reverse=True) == eps
 
@@ -304,7 +305,7 @@ def test_breakdown_is_an_unconverged_row(tmp_path, force_breakdown):
                                                             (1e-4, True)]
         assert rows[1].iterations == 2 and rows[1].final_norm > 0.0
         summary = _strict_json(tmp_path / run.__name__.removeprefix("run_") / "summary.json")
-        assert summary["rows"] == [asdict(r) for r in rows]
+        assert summary["rows"] == [_row(r) for r in rows]
     report = _strict_json(tmp_path / "table1" / "report.json")
     assert sorted(report["per_epsilon"]) == ["0.0001", "0.001", "0.01"]
     assert report["per_epsilon"]["0.001"]["converged"] is False

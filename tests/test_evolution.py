@@ -16,9 +16,30 @@ from impulsehum import (
     subdomain_mask,
 )
 
-from impulsehum.evolution import _evolve_to, _march
+from impulsehum.evolution import MAX_STEPS, _evolve_to, _march
+from impulsehum.mesh import ConfigError
 
 from oracles import dense_semigroup, reference_march
+
+
+def test_span_past_max_steps_is_refused(setup4, step_count):
+    # 1e300 on the reference scheme is ~1e304 steps: refused before any step
+    _, d, _, scheme = setup4
+    with pytest.raises(ValueError, match=r"t=1e\+300 .* dt=0.0001"):
+        steps_for(1e300, scheme)
+    with pytest.raises(ValueError, match=r"t=1e\+300 .* dt=0.0001"):
+        evolve(np.zeros(5), 1e300, d, scheme)
+    assert step_count[0] == 0
+    # A scheme of MAX_STEPS steps reaches its own t_final, even where
+    # t / dt rounds above MAX_STEPS (878.81...); two steps past it are refused.
+    for t in (0.02, 878.8129214426814):
+        big = TimeScheme(t, MAX_STEPS)
+        assert steps_for(t, big) == (MAX_STEPS, big.dt)
+        assert steps_for(t * (1 - 1e-6), big)[0] <= MAX_STEPS
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            steps_for(t + 2 * big.dt, big)
+    with pytest.raises(ConfigError, match="n_steps"):
+        TimeScheme(0.02, MAX_STEPS + 1)
 
 
 def test_scheme_validation():

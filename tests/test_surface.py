@@ -1,0 +1,51 @@
+"""The package root's names and the README's library quickstart."""
+
+import math
+import os
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import impulsehum
+from impulsehum import ConfigError, HumConfig, TimeScheme, WeightParams
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_all_is_the_root_surface():
+    names = impulsehum.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        getattr(impulsehum, name)
+    public = {name for name, value in vars(impulsehum).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(names) == public
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    iterations, control_norm, final_norm = out.split()
+    assert int(iterations) == 4
+    assert float(control_norm) == pytest.approx(1.2594044935990836, rel=1e-9)
+    assert float(final_norm) == pytest.approx(0.06884603168178839, rel=1e-9)
+
+
+@pytest.mark.parametrize("t_final", [math.inf, math.nan])
+@pytest.mark.parametrize("build", [
+    lambda t: TimeScheme(t, 200),
+    lambda t: HumConfig(epsilon=1e-2, tau=0.01, t_final=t),
+    lambda t: WeightParams(0.5, 0.9, 0.004, t),
+], ids=["TimeScheme", "HumConfig", "WeightParams"])
+def test_non_finite_horizon_is_a_config_error(build, t_final):
+    with pytest.raises(ConfigError) as info:
+        build(t_final)
+    assert info.value.field == "t_final"
