@@ -40,7 +40,6 @@ from .evolution import (
 from .hum import (
     HumConfig,
     cg_solve,
-    control_op,
     cost_bound_check,
     duality_residual,
     gramian_apply,
@@ -53,6 +52,7 @@ from .hum import (
 from .mesh import (
     Grid,
     build_discretization,
+    control_op,
     inner,
     norm,
     subdomain_mask,

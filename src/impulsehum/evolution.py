@@ -22,7 +22,7 @@ from scipy.linalg import cholesky_banded, get_lapack_funcs
 # fails if either is unbound.
 from scipy.linalg import cho_solve_banded  # noqa: F401
 
-from .mesh import ConfigError, Discretization, State, SubdomainMask, _check_length
+from .mesh import ConfigError, Discretization, State, SubdomainMask, _check_length, control_op
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
@@ -364,7 +364,7 @@ def post_impulse_flow(
     h = _check_state(h, d, "h")
     n = scheme.n_steps
     keep = _strided(n, stride) | {k}
-    return _march(pre.final_state + mask.mask * h, d, n, scheme.dt, scheme.theta, keep,
+    return _march(pre.final_state + control_op(h, mask), d, n, scheme.dt, scheme.theta, keep,
                   start=k)
 
 

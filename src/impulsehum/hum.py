@@ -1,4 +1,4 @@
-"""Penalized HUM machinery: control operator, Gramian, CG solver, duality checks.
+"""Penalized HUM machinery: Gramian, CG solver, cost bound, duality checks.
 
 The minimal-norm impulse control is obtained by minimizing a penalized
 quadratic functional over adjoint initial data, which is equivalent to the
@@ -31,7 +31,8 @@ import numpy as np
 from .evolution import (TimeScheme, _check_state, _evolve_to, _grid_step, _impulse_step,
                         _write_csv, evolve, post_impulse_flow, pre_impulse_flow,
                         solve_impulsive, steps_for)
-from .mesh import ConfigError, Discretization, State, SubdomainMask, inner, norm, subdomain_norm
+from .mesh import (ConfigError, Discretization, State, SubdomainMask, control_op, inner, norm,
+                   subdomain_norm)
 
 
 @dataclass(frozen=True)
@@ -94,12 +95,6 @@ class HumSolution:
     converged: bool
     kappa: Optional[float]
     true_residual: float
-
-
-def control_op(v: State, mask: SubdomainMask) -> State:
-    """Restrict to the control region: interior nodes of omega keep their
-    value, everything else (including both boundary entries) is zeroed."""
-    return mask.mask * np.asarray(v, dtype=float)
 
 
 def gramian_apply(
@@ -331,7 +326,7 @@ def duality_residual(
     psi0, h, zeta0 = (_check_state(v, d, name)
                       for v, name in ((psi0, "psi0"), (h, "h"), (zeta0, "zeta0")))
     z_end, z_mid = _evolve_to(
-        zeta0, [(scheme.n_steps, scheme.dt), steps_for(span, scheme)], d, scheme.theta,
+        zeta0, [steps_for(scheme.t_final, scheme), steps_for(span, scheme)], d, scheme.theta,
     )
     traj = solve_impulsive(psi0, h, cfg.tau, d, mask, scheme, stride=scheme.n_steps)
     term_control = inner(control_op(h, mask), z_mid, d)

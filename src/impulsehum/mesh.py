@@ -1,4 +1,4 @@
-"""Uniform grid, weighted state space, and the semi-discrete heat operator.
+"""Uniform grid, weighted state space, semi-discrete heat operator and control region.
 
 The continuous state couples an interior temperature profile on (a, b) with
 two boundary temperatures that evolve by their own flux-driven ODEs.  A state
@@ -166,6 +166,12 @@ def subdomain_mask(grid: Grid, omega_lo: float, omega_hi: float) -> SubdomainMas
             f"omega=({omega_lo}, {omega_hi}) contains no interior grid node at nx={grid.nx}"
         )
     return SubdomainMask(m)
+
+
+def control_op(v: State, mask: SubdomainMask) -> State:
+    """Restrict to the control region: interior nodes of omega keep their
+    value, everything else (including both boundary entries) is zeroed."""
+    return mask.mask * np.asarray(v, dtype=float)
 
 
 def subdomain_norm(u: State, mask: SubdomainMask, d: Discretization) -> float:

@@ -45,12 +45,13 @@ def setup4():
 @pytest.fixture
 def step_count(monkeypatch) -> list:
     """Count theta-steps, one per column, by wrapping ``evolution._march``;
-    the count is the list's one entry."""
-    counted = [0]
+    entry 0 of the list is the step count, entry 1 the count of marches."""
+    counted = [0, 0]
     march = evolution._march
 
     def counting(u, d, n, dt, theta, keep, start=0):
         counted[0] += (n - start) * (u.shape[1] if u.ndim == 2 else 1)
+        counted[1] += 1
         return march(u, d, n, dt, theta, keep, start)
 
     monkeypatch.setattr(evolution, "_march", counting)

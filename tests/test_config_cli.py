@@ -16,10 +16,12 @@ from impulsehum import (
     run_sweep,
     run_table1,
     run_uncontrolled,
+    steps_for,
     validate,
 )
+from impulsehum import evolution, scenarios
 from impulsehum.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
-from impulsehum.config import MAX_DATUM, make_grid
+from impulsehum.config import MAX_DATUM, make_grid, make_scheme
 from impulsehum.scenarios import _row
 
 from dataclasses import replace
@@ -350,6 +352,64 @@ def test_run_convexity_reports_constants(tmp_path):
     assert (tmp_path / "convexity" / "frequency.csv").exists()
     summary = json.loads((tmp_path / "convexity" / "summary.json").read_text())
     assert 0.0 < summary["fitted_beta"] < 1.0
+
+
+# The default plan, and one whose 2.5x horizon (512.5 steps of 0.02 / 205)
+# is off the time grid.
+ODD_PLAN = {"tau": 0.004, "n_steps": 205}
+
+
+@pytest.mark.parametrize("data, steps", [
+    ({}, [40, 120, 200, 500, 1000]),
+    (ODD_PLAN, [41, 123, 205, 513, 1025]),
+], ids=["default", "tau0.004-n205"])
+def test_run_convexity_plans_every_target_with_steps_for(tmp_path, monkeypatch, data, steps):
+    # t1, t2, t3 = T and the 2.5x and 5x horizons all come from steps_for on
+    # the configured scheme; only an off-grid time gets its own step size.
+    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path), **data))
+    scheme = make_scheme(cfg)
+    t = cfg.t_final
+    expected = [steps_for(x, scheme) for x in (t - 2 * cfg.ell * cfg.hbar,
+                                               t - cfg.ell * cfg.hbar, t, 2.5 * t, 5.0 * t)]
+    assert [n for n, _ in expected] == steps
+    assert [dt == scheme.dt for _, dt in expected] == [True, True, True, data != ODD_PLAN, True]
+    plans = []
+    evolve_to = scenarios._evolve_to
+
+    def recording(u0, targets, d, theta):
+        plans.append(list(targets))
+        return evolve_to(u0, targets, d, theta)
+
+    monkeypatch.setattr(scenarios, "_evolve_to", recording)
+    run_convexity(cfg, n_seeds=5)
+    assert plans == [expected]
+
+
+@pytest.mark.parametrize("data, steps, marches", [({}, 20_200, 2), (ODD_PLAN, 30_965, 3)],
+                         ids=["default", "tau0.004-n205"])
+def test_run_convexity_step_counts(tmp_path, step_count, data, steps, marches):
+    # The frequency trajectory takes n steps; the 20-state ensemble takes
+    # 5n at the scheme's dt in one march, plus one more march for a 2.5x
+    # horizon off the grid.
+    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path), **data))
+    run_convexity(cfg)
+    assert step_count == [steps, marches]
+
+
+def test_convexity_horizon_past_max_steps_is_config_error(tmp_path, capsys, monkeypatch):
+    # 20 000 002 steps pass validate, but the 5x horizon would take
+    # 100 000 010 > MAX_STEPS; the plan refuses it before any step.
+    def refuse(*args, **kwargs):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(evolution, "_march", refuse)
+    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path), n_steps=20_000_002))
+    with pytest.raises(ConfigError) as err:
+        run_convexity(cfg)
+    assert err.value.field == "n_steps"
+    capsys.readouterr()
+    assert main(["convexity", "--nsteps", "20000002", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config field 'n_steps'" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys, step_count):

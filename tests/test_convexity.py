@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from impulsehum import (
     Grid,
@@ -21,6 +22,7 @@ from impulsehum import (
     evolve_trajectory,
     fit_observability,
     frequency,
+    inner,
     norm,
     post_impulse_flow,
     pre_impulse_flow,
@@ -293,6 +295,33 @@ def test_three_point_ensemble_nonnegative():
         states = [evolve(u0, t, d, scheme) for t in (constants.t1, constants.t2, constants.t3)]
         chk = three_point_check(states, wp, d, scheme, constants=constants)
         assert chk.slack >= -chk.tolerance
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    nx=st.integers(2, 400),
+    a=st.floats(-5.0, 5.0),
+    log_length=st.floats(-2.0, 2.0),
+    log_dt=st.floats(-7.0, 1.0),
+    n_steps=st.integers(3, 300),
+    method=st.sampled_from(["crank_nicolson", "backward_euler"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_free_flow_is_log_convex(nx, a, log_length, log_dt, n_steps, method, seed):
+    # The theta-step is self-adjoint in the weighted product, so |u_n|^2 is
+    # a sum of c_i^2 (r_i^2)^n over its eigenpairs and log|u_n|^2 is convex
+    # in n: the three-point inequality at s = 0.  Where the flow has
+    # collapsed onto the constant mode the exact second differences are 0,
+    # so the slack allows the rounding of a weighted sum over the nx + 1
+    # nodes.
+    grid = Grid(a, a + 10.0**log_length, nx)
+    d = build_discretization(grid)
+    scheme = TimeScheme(n_steps * 10.0**log_dt, n_steps, method)
+    traj = evolve_trajectory(random_smooth_state(grid, SplitMix64(seed)), d, scheme)
+    logs = np.log([inner(u, u, d) for u in traj.states])
+    second = logs[2:] - 2.0 * logs[1:-1] + logs[:-2]
+    slack = 16 * grid.n_dof * np.finfo(float).eps * np.maximum(1.0, np.abs(logs[1:-1]))
+    assert np.all(second >= -slack), (second / slack).min()
 
 
 def _ensemble_samples(grid, d, mask, n_seeds=20):

@@ -70,9 +70,10 @@ def test_default_report_matches_golden(path, tmp_path):
 
 
 def test_convexity_report_with_several_step_sizes_matches_golden(tmp_path):
-    # 201 steps align to 202, so t1 (41 steps) and t2 (122 steps) each get
-    # their own dt, while t3 and the three horizons (202, 505, 1010 steps on
-    # their own schemes) share one: the ensemble marches in three groups.
+    # 201 steps align to 202, so t1 (41 steps) and t2 (122 steps) are off
+    # the time grid and each get their own dt, while t3 = T and the 2.5x and
+    # 5x horizons (202, 505 and 1010 steps) take the scheme's: the ensemble
+    # marches in three groups.
     assert main(["convexity", "--nsteps", "201", "--out", str(tmp_path)]) == EXIT_OK
     got = json.loads((tmp_path / "convexity" / "report.json").read_text(encoding="utf-8"))
     _assert_close(got, GOLDEN_NSTEPS201, "convexity --nsteps 201")
