@@ -43,7 +43,6 @@ from .hum import (
     cost_bound_check,
     duality_residual,
     gramian_apply,
-    penalized_objective,
     solve_cost_weighted,
     solution_to_dict,
     write_solution_json,
@@ -99,7 +98,6 @@ __all__ = [
     "inner",
     "load_config",
     "norm",
-    "penalized_objective",
     "post_impulse_flow",
     "pre_impulse_flow",
     "random_smooth_state",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -188,8 +189,11 @@ def initial_state(cfg: ExperimentConfig, grid: Grid) -> np.ndarray:
     else:
         path = Path(cfg.psi0_path)
         try:
-            u = np.loadtxt(path, dtype=float, ndmin=1)
-        except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                # a file without values warns ("input contained no data")
+                warnings.simplefilter("error", UserWarning)
+                u = np.loadtxt(path, dtype=float, ndmin=1)
+        except (OSError, ValueError, UserWarning) as exc:
             raise ConfigError("psi0_path", f"cannot read node values: {exc}") from exc
         if u.shape != (grid.n_dof,):
             raise ConfigError(

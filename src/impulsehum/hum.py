@@ -109,30 +109,6 @@ def gramian_apply(
     return evolve(control_op(evolve(rho, span, d, scheme), mask), span, d, scheme)
 
 
-def penalized_objective(
-    theta0: State,
-    psi0: State,
-    cfg: HumConfig,
-    d: Discretization,
-    mask: SubdomainMask,
-    scheme: TimeScheme,
-) -> float:
-    """Penalized HUM objective: half the observed energy at T - tau, plus
-    (eps/2) times the squared weighted norm of the adjoint datum, plus the
-    coupling with the datum to be controlled (two propagations).
-
-    This is the reference definition; :func:`cg_solve` records the same value
-    without propagating, see ``_run_cg``."""
-    span = cfg.t_final - cfg.tau
-    mid = evolve(theta0, span, d, scheme)
-    end = evolve(mid, cfg.tau, d, scheme)
-    return (
-        0.5 * subdomain_norm(mid, mask, d) ** 2
-        + 0.5 * cfg.epsilon * inner(theta0, theta0, d)
-        + inner(psi0, end, d)
-    )
-
-
 def _span(cfg: HumConfig, scheme: TimeScheme) -> float:
     """T - tau as the n - k steps of dt after the impulse's step k; raises
     unless t_final is the scheme's step n (``_grid_step``) and tau a step
@@ -170,8 +146,9 @@ def _run_cg(
 
     The functional J(f) = 1/2 <A f, f> + <b, f>, with A the operator, is
     recorded as 1/2 <g + b, f> from the residual g = A f + b that CG already
-    holds.  This is the penalized objective because E(T) is self-adjoint, so
-    <psi0, E(T) f> = <b, f>.
+    holds.  For :func:`cg_solve` this is the penalized objective
+    1/2 |E(T-tau) f|_omega^2 + eps/2 |f|^2 + <psi0, E(T) f>, because E(T) is
+    self-adjoint, so <psi0, E(T) f> = <b, f>.
     """
 
     def apply_op(v: State) -> State:

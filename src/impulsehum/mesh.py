@@ -74,28 +74,6 @@ class Discretization:
     k_off: np.ndarray
     step_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def k_matrix(self) -> np.ndarray:
-        """Dense copy of K (small grids / oracle comparisons)."""
-        n = self.grid.n_dof
-        k = np.zeros((n, n))
-        i = np.arange(n)
-        k[i, i] = self.k_main
-        j = np.arange(n - 1)
-        k[j, j + 1] = self.k_off
-        k[j + 1, j] = self.k_off
-        return k
-
-    def apply_k(self, u: State) -> State:
-        out = self.k_main * u
-        out[:-1] += self.k_off * u[1:]
-        out[1:] += self.k_off * u[:-1]
-        return out
-
-    def apply_a(self, u: State) -> State:
-        """Action of the generator A = W^{-1} K."""
-        return self.apply_k(u) / self.w
-
 
 def build_discretization(grid: Grid) -> Discretization:
     """Assemble the weight vector and stiffness matrix on ``grid``.

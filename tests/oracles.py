@@ -7,6 +7,9 @@ check pits two separate routes against each other.  The exceptions are
 ``reference_march``, a plain stepping loop through scipy's public banded
 Cholesky routines, and ``reference_frequency``, a plain per-snapshot loop
 of the frequency quotient; the library must reproduce both bit for bit.
+``reference_objective`` writes the penalized HUM functional out with the
+library's ``evolve`` on the solve's own time grid, so CG's recorded
+functional can be checked against its definition.
 """
 
 from math import isclose
@@ -14,6 +17,8 @@ from math import isclose
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_solve_banded, cholesky_banded
+
+from impulsehum import evolve, inner, steps_for, subdomain_norm
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
@@ -74,9 +79,15 @@ def reference_frequency(traj, wp, d):
     return norm_f, direct, oracle
 
 
+def dense_k(d):
+    """K as a dense matrix, from its diagonal ``k_main`` and the one
+    off-diagonal array ``k_off`` both off-diagonals share."""
+    return np.diag(d.k_main) + np.diag(d.k_off, 1) + np.diag(d.k_off, -1)
+
+
 def dense_generator(d):
     """A = W^{-1} K as a dense matrix."""
-    return d.k_matrix / d.w[:, None]
+    return dense_k(d) / d.w[:, None]
 
 
 def _symmetric_eigen(d):
@@ -85,7 +96,7 @@ def _symmetric_eigen(d):
     In the coordinates y = V^T W^{1/2} u the weighted inner product is the
     Euclidean one and every propagator of A = W^{-1} K is diagonal."""
     sqw = np.sqrt(d.w)
-    s = d.k_matrix / sqw[:, None] / sqw[None, :]
+    s = dense_k(d) / sqw[:, None] / sqw[None, :]
     lam, v = np.linalg.eigh((s + s.T) / 2.0)
     return lam, v, sqw
 
@@ -142,6 +153,24 @@ class ThetaOracle:
         g = self.gain(span)
         m = (self.v.T * mask.mask) @ self.v
         return g[:, None] * m * g[None, :]
+
+
+def reference_objective(theta0, psi0, cfg, d, mask, scheme):
+    """Penalized HUM objective: half the observed energy at T - tau, plus
+    (eps/2) times the squared weighted norm of the adjoint datum, plus the
+    coupling <psi0, E(T) theta0> (two propagations).
+
+    Its legs are the solve's: with k the impulse's step
+    (``steps_for(cfg.tau, scheme)``), ``theta0`` is marched n - k steps of
+    the scheme's dt to T - tau, then k more to T."""
+    k = steps_for(cfg.tau, scheme)[0]
+    mid = evolve(theta0, (scheme.n_steps - k) * scheme.dt, d, scheme)
+    end = evolve(mid, k * scheme.dt, d, scheme)
+    return (
+        0.5 * subdomain_norm(mid, mask, d) ** 2
+        + 0.5 * cfg.epsilon * inner(theta0, theta0, d)
+        + inner(psi0, end, d)
+    )
 
 
 def oracle_cg_iterations(a, b, tol):

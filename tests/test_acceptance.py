@@ -56,6 +56,7 @@ from impulsehum import (
 from oracles import (
     ThetaOracle,
     assemble_operator,
+    dense_k,
     dense_semigroup,
     observability_constant,
     oracle_cg_iterations,
@@ -148,7 +149,7 @@ def test_criterion_2_trends():
 
 def test_criterion_3_structure():
     _, grid, d, mask, scheme, _ = _default_setup()
-    k = d.k_matrix
+    k = dense_k(d)
     k_ok = np.max(np.abs(k - k.T)) == 0.0
 
     rng = np.random.default_rng(2024)

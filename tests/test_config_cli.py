@@ -181,6 +181,22 @@ def test_initial_state_kinds(tmp_path):
         initial_state(validate(replace(cfg, psi0_kind="nodes-from-file", psi0_path=str(short))), grid)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n", "# no values\n"], ids=["empty", "blank", "comment"])
+def test_node_file_without_values_is_config_error(text, tmp_path, capsys):
+    # numpy warns on a file without values; with warnings as errors (as
+    # here) only the ConfigError may come out, and the CLI exits 2
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"psi0_kind": "nodes-from-file", "psi0_path": str(nodes)}))
+    cfg = load_config(path)
+    with pytest.raises(ConfigError) as err:
+        initial_state(cfg, make_grid(cfg))
+    assert err.value.field == "psi0_path"
+    assert main(["uncontrolled", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'psi0_path'" in capsys.readouterr().err
+
+
 def test_load_config_json_and_overrides(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"nx": 10, "epsilons": [0.1, 0.01]}))
