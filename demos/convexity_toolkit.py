@@ -52,7 +52,7 @@ wp3 = WeightParams(x0=0.5, s=0.9, hbar=0.004, t_final=0.02)
 c = convexity_constants(wp3, grid, ell=2.0)
 print(f"\nconstants: C = {c.c_const}, C0 = {c.c0}")
 print(f"three-point pair: M = {c.m_three_point:.4f}, D = {c.d_three_point:.2f}")
-print(f"calibrated pair:  M_ell = {c.m_ell:.4f}, D_ell = {c.d_ell:.2f}")
+print(f"calibrated D_ell = {c.d_ell:.2f}")
 
 slacks = []
 for seed in range(20):

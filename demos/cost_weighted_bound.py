@@ -35,9 +35,8 @@ psi0[0] = psi0[-1] = 0.0
 
 print("kappa    eps    terminal-identity   control-term  final-term  budget  holds")
 for kappa, eps in ((1e3, 1e-2), (1e3, 5e-2), (1e2, 5e-2), (1e2, 1e-2)):
-    cfg = HumConfig(epsilon=eps, tau=0.01, t_final=0.02, tol=1e-3,
-                    kappa=kappa, max_iter=3000)
-    sol = solve_cost_weighted(psi0, cfg, disc, mask, scheme)
+    cfg = HumConfig(epsilon=eps, tau=0.01, t_final=0.02, tol=1e-3, max_iter=3000)
+    sol = solve_cost_weighted(psi0, cfg, disc, mask, scheme, kappa)
     ident = norm(sol.final_state + eps**2 * sol.minimizer, disc)
     rep = cost_bound_check(sol)
     print(

@@ -46,7 +46,6 @@ class ExperimentConfig:
     epsilons: tuple = (1e-2, 1e-3, 1e-4)
     tol: float = 1e-3
     max_iter: Optional[int] = None
-    kappa: Optional[float] = None
     x0: float = 0.5
     s: float = 0.9
     hbar: float = 0.004
@@ -164,7 +163,7 @@ def make_scheme(cfg: ExperimentConfig) -> TimeScheme:
 
 
 def make_hum_config(cfg: ExperimentConfig, epsilon: float) -> HumConfig:
-    return HumConfig(epsilon, cfg.tau, cfg.t_final, cfg.tol, cfg.max_iter, cfg.kappa)
+    return HumConfig(epsilon, cfg.tau, cfg.t_final, cfg.tol, cfg.max_iter)
 
 
 def make_weight(cfg: ExperimentConfig) -> WeightParams:

@@ -88,7 +88,6 @@ class ConvexityConstants:
     c_const: float
     c0: float
     ell: float
-    m_ell: float
     d_ell: float
     m_three_point: float
     d_three_point: float
@@ -117,9 +116,8 @@ def _boundary_constants(wp: WeightParams, a: float, b: float) -> tuple[float, fl
 def convexity_constants(wp: WeightParams, grid: Grid, ell: float) -> ConvexityConstants:
     """All explicit constants: the boundary pair (C, C0), the calibrated
     three-point times t1 = T - 2*ell*hbar, t2 = T - ell*hbar, t3 = T, and
-    the three-point pair (M, D) at them.  The calibrated pair is
-    M_ell = M and D_ell = 2 C ell^2 (1 + M), which is D / 4; the three-point
-    check uses D."""
+    the three-point pair (M, D) at them.  The calibrated D_ell =
+    2 C ell^2 (1 + M) is D / 4; the three-point check uses D."""
     check_admissible(wp, grid)
     if wp.s == 0.0:
         raise ConfigError("s", "constants need s > 0 (s = 0 is a test-only weight mode)")
@@ -139,7 +137,6 @@ def convexity_constants(wp: WeightParams, grid: Grid, ell: float) -> ConvexityCo
         c_const=c_const,
         c0=c0,
         ell=ell,
-        m_ell=m,
         d_ell=2.0 * c_const * ell**2 * (1.0 + m),
         m_three_point=m,
         d_three_point=2.0 * (1.0 + m) * (t3 - t1) ** 2 * c_const / wp.hbar**2,

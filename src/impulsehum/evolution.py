@@ -30,6 +30,10 @@ _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 # longer span is refused, not marched.
 MAX_STEPS = 10**8
 
+# The most step factors one Discretization keeps, oldest dropped first; a
+# march needs one per step size, and no scenario uses more than four.
+_MAX_FACTORS = 8
+
 
 @dataclass(frozen=True)
 class TimeScheme:
@@ -87,13 +91,16 @@ def _grid_step(t: float, dt: float) -> Optional[int]:
 
 
 def _step_factor(d: Discretization, dt: float, theta: float) -> np.ndarray:
-    """Banded Cholesky factor of W - theta dt K, computed once per
-    (dt, theta) and kept in ``d.step_cache``."""
+    """Banded Cholesky factor of W - theta dt K, kept in ``d.step_cache``
+    for the last ``_MAX_FACTORS`` distinct (dt, theta); the oldest goes
+    first."""
     factor = d.step_cache.get((dt, theta))
     if factor is None:
         ab = np.zeros((2, d.grid.n_dof))
         ab[0, 1:] = -theta * dt * d.k_off
         ab[1, :] = d.w - theta * dt * d.k_main
+        if len(d.step_cache) >= _MAX_FACTORS:
+            del d.step_cache[next(iter(d.step_cache))]
         factor = d.step_cache[(dt, theta)] = cholesky_banded(ab, lower=False)
     return factor
 

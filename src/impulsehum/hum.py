@@ -42,15 +42,6 @@ class HumConfig:
     The impulse time ``tau`` lies strictly inside (0, t_final): an impulse at
     the final time leaves nothing to control.  A solve reads tau and t_final
     as the scheme's steps k and n, and marches T - tau as the n - k after k.
-
-    ``kappa`` switches on the cost-weighted variant: the observation term is
-    weighted by kappa^2 and the penalty becomes epsilon^2.  When left unset
-    the solvers that need it default to kappa = 1/epsilon, a practical scale
-    standing in for the non-constructive theoretical constant.  That default
-    carries no guarantee of the cost bound (at nx = 25, epsilon = 1e-2 the
-    sine datum exceeds it 1.59-fold); the bound holds for every initial
-    state once kappa reaches the system's observability constant (~3.09e4
-    there).
     """
 
     epsilon: float
@@ -58,7 +49,6 @@ class HumConfig:
     t_final: float
     tol: float = 1e-3
     max_iter: Optional[int] = None
-    kappa: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -73,8 +63,6 @@ class HumConfig:
             raise ConfigError("tol", f"must lie in (0, 1), got {self.tol}")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError("max_iter", f"must be at least 1, got {self.max_iter}")
-        if self.kappa is not None and not self.kappa > 0:
-            raise ConfigError("kappa", f"must be positive, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -266,19 +254,22 @@ def solve_cost_weighted(
     d: Discretization,
     mask: SubdomainMask,
     scheme: TimeScheme,
+    kappa: float,
 ) -> HumSolution:
     """Cost-weighted variant: CG on (kappa^2 Lambda + eps^2 I) f = -E(T) psi0
-    with control kappa^2 B E(T-tau) f.
+    with control kappa^2 B E(T-tau) f, for a finite ``kappa`` > 0 (checked
+    before any step).
 
     At the exact minimizer the controlled final state equals -eps^2 times the
     minimizer, which makes the explicit cost bound checkable; see
     :func:`cost_bound_check`.  The bound holds for every ``psi0`` once kappa
     is at least the observability constant, the smallest kappa with
-    kappa^2 Lambda + eps^2 I >= E(T)^2.  The default kappa = 1/eps carries no
-    such guarantee: at nx = 25, eps = 1e-2 it exceeds the bound 1.59-fold
-    for the sine datum, while the constant is ~3.09e4.
+    kappa^2 Lambda + eps^2 I >= E(T)^2 (~3.09e4 at nx = 25, eps = 1e-2).
+    Below it the bound can fail: at kappa = 1/eps = 100 there the sine datum
+    exceeds it 1.59-fold.
     """
-    kappa = cfg.kappa if cfg.kappa is not None else 1.0 / cfg.epsilon
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     return _solve(psi0, cfg, d, mask, scheme, obs_weight=kappa**2,
                   penalty=cfg.epsilon**2, kappa=kappa)
 

@@ -64,8 +64,8 @@ class Discretization:
     vector spanning its kernel; the generator A = W^{-1} K is therefore
     self-adjoint and dissipative in the w-weighted inner product.  The two
     off-diagonals share one storage array, so K is symmetric bit-exactly.
-    ``step_cache`` holds the factored theta-step per (dt, theta); it belongs
-    to this pair and is filled by the time stepper.
+    ``step_cache`` holds the factored theta-steps of the last few
+    (dt, theta); it belongs to this pair and is filled by the time stepper.
     """
 
     grid: Grid

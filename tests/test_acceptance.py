@@ -276,7 +276,7 @@ def test_criterion_5_duality_identity():
 def test_criterion_6_cost_weighted_construction():
     # NOTE: the bound |h|^2/kappa^2 + |Psi(T)|^2/eps^2 <= |psi0|^2 is promised
     # only once kappa reaches the observability constant, which the oracle
-    # puts at ~3.09e4 for this system (CN, nx = 25, eps = 1e-2).  The default
+    # puts at ~3.09e4 for this system (CN, nx = 25, eps = 1e-2).
     # kappa = 1/eps = 1e2 lies far below it, and there the exact cost of the
     # sine datum is 1.59 |psi0|^2 (1.587 for CN, 1.592 with the exact
     # propagator).  That is not a grid artefact that refinement removes: the
@@ -292,8 +292,8 @@ def test_criterion_6_cost_weighted_construction():
 
     def check(u0, kappa):
         hum = HumConfig(epsilon=eps, tau=cfg.tau, t_final=cfg.t_final, tol=cfg.tol,
-                        kappa=kappa, max_iter=3000)
-        sol = solve_cost_weighted(u0, hum, d, mask, scheme)
+                        max_iter=3000)
+        sol = solve_cost_weighted(u0, hum, d, mask, scheme, kappa)
         rep = cost_bound_check(sol)
         # Terminal identity: Psi(T) + eps^2 f is the CG residual g.
         el = norm(sol.final_state + eps**2 * sol.minimizer, d)

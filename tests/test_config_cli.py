@@ -59,7 +59,7 @@ FIELD_CASES = [
     ("tau", 1e-13, "tau"),  # rounds to step 0, which the impulse solver rejects
     ("n_steps", 0, "n_steps"),
     ("max_iter", 0, "max_iter"),
-    ("kappa", -1.0, "kappa"),
+    ("s", 5.0, "s"),
     ("epsilons", (1e-2, -1e-3), "epsilons"),
     ("x0", 1.5, "x0"),
     ("hbar", 0.0, "hbar"),
@@ -70,7 +70,7 @@ FIELD_CASES = [
     ("a", float("nan"), "a"),
     ("t_final", float("inf"), "t_final"),
     ("ell", float("inf"), "ell"),
-    ("kappa", float("inf"), "kappa"),
+    ("psi0_center", float("inf"), "psi0_center"),
     ("psi0_amplitude", float("inf"), "psi0_amplitude"),
     ("boundary_c", float("inf"), "boundary_c"),
     ("boundary_d", float("-inf"), "boundary_d"),
@@ -99,6 +99,17 @@ def test_validation_names_offending_field(field, value, expected_field):
     with pytest.raises(ConfigError) as err:
         load_config(None, {field: value})
     assert err.value.field == expected_field
+
+
+def test_kappa_is_an_unknown_field(tmp_path, capsys):
+    # kappa is an argument of solve_cost_weighted, not a config field
+    with pytest.raises(ConfigError) as err:
+        load_config(None, {"kappa": 1e3})
+    assert err.value.field == "kappa" and "unknown field" in str(err.value)
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps({"kappa": 1e3}))
+    assert main(["controlled", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config field 'kappa'" in capsys.readouterr().err
 
 
 def test_validation_aligns_impulse_steps():

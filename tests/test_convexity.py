@@ -93,8 +93,8 @@ def test_constants_instantiation():
     assert c.c0 == pytest.approx(0.89875, abs=1e-12)
     assert c.c_const == pytest.approx(0.78125, abs=1e-12)
     assert c.m_three_point > 0 and c.d_three_point > 0
-    assert c.m_ell > 0 and c.d_ell > 0
-    assert c.d_ell == pytest.approx(2.0 * c.c_const * 4.0 * (1.0 + c.m_ell), rel=1e-14)
+    assert c.d_ell > 0
+    assert c.d_ell == pytest.approx(2.0 * c.c_const * 4.0 * (1.0 + c.m_three_point), rel=1e-14)
 
 
 def test_constants_time_ratio_matches_quadrature():
@@ -125,7 +125,7 @@ def test_constants_calibrated_pair_consistent():
         assert (c.t1, c.t2, c.t3) == (T - 2.0 * ell * hbar, T - ell * hbar, T)
         num = time_weight_quadrature(T, hbar, c.c0, c.t2, c.t3)
         den = time_weight_quadrature(T, hbar, c.c0, c.t1, c.t2)
-        assert c.m_three_point == c.m_ell == pytest.approx(num / den, rel=1e-8)
+        assert c.m_three_point == pytest.approx(num / den, rel=1e-8)
         assert c.d_three_point == pytest.approx(4 * c.d_ell, rel=1e-12)
 
 
@@ -148,7 +148,7 @@ def test_constants_reject_degenerate():
 def test_constants_positive_for_admissible_params(seed):
     c = convexity_constants(_admissible_weight(seed), Grid(0.0, 1.0, 25), ell=2.0)
     assert c.c_const > 0 and 0 < c.c0 < 1
-    assert c.m_ell > 0 and c.d_ell > 0
+    assert c.m_three_point > 0 and c.d_ell > 0
 
 
 def test_frequency_degenerate_constant_zero():

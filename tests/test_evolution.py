@@ -16,7 +16,7 @@ from impulsehum import (
     subdomain_mask,
 )
 
-from impulsehum.evolution import MAX_STEPS, _evolve_to, _march
+from impulsehum.evolution import _MAX_FACTORS, MAX_STEPS, _evolve_to, _march
 from impulsehum.mesh import ConfigError
 
 from oracles import dense_semigroup, reference_march
@@ -154,6 +154,20 @@ def test_stepping_matches_reference_loop(nx, method):
         assert np.array_equal(imp.times, np.insert(np.arange(n_steps + 1), k, k) * scheme.dt)
         assert np.array_equal(imp.states, np.insert(ref, k, pre, axis=0))
         assert np.array_equal(imp.states[k], pre)
+
+
+def test_factor_cache_is_bounded(setup25):
+    # Each off-grid span gets its own step size, hence its own factor; the
+    # cache keeps the last _MAX_FACTORS of them, and a dropped one is
+    # factored again to the same bytes.
+    grid, d, _, scheme, psi0 = setup25
+    spans = [(k + 0.37) * scheme.dt for k in range(1, 101)]
+    for span in spans + spans[:3]:
+        got = evolve(psi0, span, d, scheme)
+        assert len(d.step_cache) <= _MAX_FACTORS
+        fresh = evolve(psi0, span, build_discretization(grid), scheme)
+        assert got.tobytes() == fresh.tobytes(), span
+    assert len(d.step_cache) == _MAX_FACTORS
 
 
 @pytest.mark.parametrize("nx", [2, 5, 25, 100])

@@ -41,6 +41,15 @@ def _cfg(eps, **kw):
     return HumConfig(epsilon=eps, tau=0.01, t_final=0.02, **kw)
 
 
+def _cost_weighted(psi0, cfg, d, mask, scheme):
+    """:func:`solve_cost_weighted` at kappa = 1 / eps."""
+    return solve_cost_weighted(psi0, cfg, d, mask, scheme, 1.0 / cfg.epsilon)
+
+
+SOLVERS = [pytest.param(cg_solve, id="cg_solve"),
+           pytest.param(_cost_weighted, id="solve_cost_weighted")]
+
+
 def test_config_validation():
     with pytest.raises(ValueError) as err:
         HumConfig(epsilon=0.0, tau=0.01, t_final=0.02)
@@ -52,8 +61,6 @@ def test_config_validation():
     with pytest.raises(ValueError) as err:
         HumConfig(epsilon=1.0, tau=0.01, t_final=0.02, tol=2)
     assert err.value.field == "tol"
-    with pytest.raises(ValueError):
-        HumConfig(epsilon=1.0, tau=0.01, t_final=0.02, kappa=-1.0)
     # an impulse at the final time controls nothing
     with pytest.raises(ValueError) as err:
         HumConfig(epsilon=1.0, tau=0.02, t_final=0.02)
@@ -200,7 +207,7 @@ def test_cg_max_iter_flagged(setup25):
 
 @pytest.mark.parametrize("fake", [lambda rho: -1e3 * rho, lambda rho: np.full_like(rho, np.nan)],
                          ids=["negative", "nan"])
-@pytest.mark.parametrize("solver", [cg_solve, solve_cost_weighted])
+@pytest.mark.parametrize("solver", SOLVERS)
 @pytest.mark.parametrize("k", [2, 5])
 def test_breakdown_returns_the_capped_solve(k, solver, fake, force_breakdown, setup25):
     # A curvature that is not positive at iteration k stops CG with the
@@ -226,7 +233,7 @@ def test_false_convergence_flagged(setup25):
     assert "true_residual" not in solution_to_dict(sol)
 
 
-@pytest.mark.parametrize("solver", [cg_solve, solve_cost_weighted])
+@pytest.mark.parametrize("solver", SOLVERS)
 def test_true_residual_and_final_state(solver, setup25):
     _, d, mask, scheme, psi0 = setup25
     cfg = _cfg(1e-3)
@@ -268,7 +275,7 @@ def test_solvers_off_the_reference_grid(nx, method, n_steps, k_frac, log_eps, se
     assert steps_for(t_final, scheme) == (n_steps, scheme.dt)
     psi0 = np.random.default_rng(seed).standard_normal(nx + 1)
     b = evolve(psi0, t_final, d, scheme)
-    for solver in (cg_solve, solve_cost_weighted):
+    for solver in (cg_solve, _cost_weighted):
         sol = solver(psi0, cfg, d, mask, scheme)
         replay = solve_impulsive(psi0, sol.control, tau, d, mask, scheme)
         assert np.array_equal(sol.final_state, replay.final_state)
@@ -375,7 +382,7 @@ def test_off_grid_tau_rejected_before_marching(step_count, setup25):
     _, d, mask, scheme, psi0 = setup25
     cfg = HumConfig(epsilon=1e-2, tau=0.010003, t_final=0.02)
     solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
-              lambda: solve_cost_weighted(psi0, cfg, d, mask, scheme),
+              lambda: _cost_weighted(psi0, cfg, d, mask, scheme),
               lambda: gramian_apply(psi0, cfg, d, mask, scheme),
               lambda: duality_residual(psi0, np.zeros_like(psi0), psi0, cfg, d, mask, scheme)]
     for solve in solves:
@@ -391,7 +398,7 @@ def test_tau_read_as_final_step_rejected_before_marching(final_step_tau, step_co
     cfg = HumConfig(epsilon=1e-2, tau=tau, t_final=t_final)
     h = np.zeros_like(psi0)
     solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
-              lambda: solve_cost_weighted(psi0, cfg, d, mask, scheme),
+              lambda: _cost_weighted(psi0, cfg, d, mask, scheme),
               lambda: gramian_apply(psi0, cfg, d, mask, scheme),
               lambda: duality_residual(psi0, h, psi0, cfg, d, mask, scheme),
               lambda: solve_impulsive(psi0, h, tau, d, mask, scheme)]
@@ -406,7 +413,7 @@ def test_horizon_mismatch_rejected_before_marching(step_count, setup25):
     _, d, mask, scheme, psi0 = setup25
     cfg = HumConfig(epsilon=1e-2, tau=0.01, t_final=0.03)
     solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
-              lambda: solve_cost_weighted(psi0, cfg, d, mask, scheme),
+              lambda: _cost_weighted(psi0, cfg, d, mask, scheme),
               lambda: gramian_apply(psi0, cfg, d, mask, scheme),
               lambda: duality_residual(psi0, np.zeros_like(psi0), psi0, cfg, d, mask, scheme)]
     for solve in solves:
@@ -453,15 +460,15 @@ def test_monotone_trends_across_penalties(setup25):
 
 def test_cost_weighted_trivial(setup25):
     _, d, mask, scheme, _ = setup25
-    sol = solve_cost_weighted(np.zeros(26), _cfg(1e-2, kappa=10.0), d, mask, scheme)
+    sol = solve_cost_weighted(np.zeros(26), _cfg(1e-2), d, mask, scheme, 10.0)
     assert np.all(sol.minimizer == 0.0) and np.all(sol.control == 0.0)
     assert sol.final_norm == 0.0
 
 
 def test_cost_weighted_terminal_identity(setup25):
     _, d, mask, scheme, psi0 = setup25
-    cfg = _cfg(1e-2, kappa=1e3)
-    sol = solve_cost_weighted(psi0, cfg, d, mask, scheme)
+    cfg = _cfg(1e-2)
+    sol = solve_cost_weighted(psi0, cfg, d, mask, scheme, 1e3)
     assert sol.converged
     resid = norm(sol.final_state + cfg.epsilon**2 * sol.minimizer, d)
     assert resid <= 10.0 * cfg.tol * sol.initial_norm
@@ -471,21 +478,21 @@ def test_cost_weighted_matches_dense_factorization_nx4(setup4):
     grid, d, mask, scheme = setup4
     psi0 = np.sqrt(2.0) * np.sin(np.pi * grid.nodes)
     psi0[0] = psi0[-1] = 0.0
-    cfg = _cfg(1e-2, kappa=10.0, tol=1e-10)
+    cfg, kappa = _cfg(1e-2, tol=1e-10), 10.0
     lam = assemble_operator(
         lambda v: gramian_apply(v, _cfg(1e-2), d, mask, scheme), 5
     )
     b = evolve(psi0, cfg.t_final, d, scheme)
-    direct = np.linalg.solve(cfg.kappa**2 * lam + cfg.epsilon**2 * np.eye(5), -b)
-    sol = solve_cost_weighted(psi0, cfg, d, mask, scheme)
+    direct = np.linalg.solve(kappa**2 * lam + cfg.epsilon**2 * np.eye(5), -b)
+    sol = solve_cost_weighted(psi0, cfg, d, mask, scheme, kappa)
     assert norm(sol.minimizer - direct, d) <= 1e-6 * norm(direct, d)
 
 
 def test_cost_weighted_scaling_homogeneity(setup25):
     _, d, mask, scheme, psi0 = setup25
-    cfg = _cfg(1e-2, kappa=1e3)
-    one = solve_cost_weighted(psi0, cfg, d, mask, scheme)
-    two = solve_cost_weighted(2.0 * psi0, cfg, d, mask, scheme)
+    cfg = _cfg(1e-2)
+    one = solve_cost_weighted(psi0, cfg, d, mask, scheme, 1e3)
+    two = solve_cost_weighted(2.0 * psi0, cfg, d, mask, scheme, 1e3)
     assert norm(two.control - 2.0 * one.control, d) <= 1e-12 * max(1.0, norm(one.control, d))
     rep1 = cost_bound_check(one)
     rep2 = cost_bound_check(two)
@@ -494,8 +501,7 @@ def test_cost_weighted_scaling_homogeneity(setup25):
 
 def test_cost_bound_zero_state(setup25):
     _, d, mask, scheme, _ = setup25
-    cfg = _cfg(1e-2, kappa=10.0)
-    sol = solve_cost_weighted(np.zeros(26), cfg, d, mask, scheme)
+    sol = solve_cost_weighted(np.zeros(26), _cfg(1e-2), d, mask, scheme, 10.0)
     rep = cost_bound_check(sol)
     assert rep.total == 0.0 and rep.initial_sq == 0.0 and rep.ok
 
@@ -504,8 +510,8 @@ def test_cost_bound_large_kappa_resolved(setup25):
     # with a resolved integrator and a large weight the explicit bound holds
     # and the final state meets the target fraction of the initial norm
     _, d, mask, scheme, psi0 = setup25
-    cfg = _cfg(1e-2, kappa=1e3)
-    sol = solve_cost_weighted(psi0, cfg, d, mask, scheme)
+    cfg = _cfg(1e-2)
+    sol = solve_cost_weighted(psi0, cfg, d, mask, scheme, 1e3)
     rep = cost_bound_check(sol)
     assert rep.ok and rep.total <= rep.initial_sq * (1.0 + 1e-6)
     assert sol.final_norm <= cfg.epsilon * sol.initial_norm
@@ -515,10 +521,18 @@ def test_cost_bound_uses_the_solutions_penalty(setup25):
     # The final term divides by the solution's own eps^2; at kappa = 100 the
     # sine datum breaks the bound.
     _, d, mask, scheme, psi0 = setup25
-    sol = solve_cost_weighted(psi0, _cfg(1e-2, kappa=100.0), d, mask, scheme)
+    sol = solve_cost_weighted(psi0, _cfg(1e-2), d, mask, scheme, 100.0)
     rep = cost_bound_check(sol)
     assert rep.final_term == sol.final_norm**2 / sol.epsilon**2
     assert rep.final_term == pytest.approx(1.076, abs=1e-3) and not rep.ok
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, np.inf, np.nan])
+def test_cost_weighted_rejects_kappa_before_marching(kappa, step_count, setup25):
+    _, d, mask, scheme, psi0 = setup25
+    with pytest.raises(ValueError, match="kappa"):
+        solve_cost_weighted(psi0, _cfg(1e-2), d, mask, scheme, kappa)
+    assert step_count[0] == 0
 
 
 def test_cost_bound_requires_kappa(setup25):

@@ -1,5 +1,7 @@
-"""The package root's names and the README's library quickstart."""
+"""The package root's names, the README's library quickstart and its
+configuration block."""
 
+import json
 import math
 import os
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import impulsehum
-from impulsehum import ConfigError, HumConfig, TimeScheme, WeightParams
+from impulsehum import ConfigError, ExperimentConfig, HumConfig, TimeScheme, WeightParams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +39,13 @@ def test_readme_quickstart_runs():
     assert int(iterations) == 4
     assert float(control_norm) == pytest.approx(1.2594044935990836, rel=1e-9)
     assert float(final_norm) == pytest.approx(0.06884603168178839, rel=1e-9)
+
+
+def test_readme_configuration_block_is_the_defaults():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert json.loads(block) == ExperimentConfig().to_dict()
 
 
 @pytest.mark.parametrize("t_final", [math.inf, math.nan])
