@@ -80,6 +80,10 @@ FIELD_CASES = [
     ("psi0_width", float("inf"), "psi0_width"),
     # SplitMix64 keeps 64 bits, so 2**64 would run seed 0's ensemble
     ("seed", 2**64, "seed"),
+    # kappa is an argument of solve_cost_weighted, not a field: whatever its
+    # value, a config that sets it is refused as an unknown field
+    ("kappa", -1.0, "kappa"),
+    ("kappa", float("inf"), "kappa"),
 ]
 
 
@@ -93,9 +97,13 @@ FIELD_CASES = [
 def test_validation_names_offending_field(field, value, expected_field):
     # Every value is set both on a config built in Python and through the
     # JSON loader.
-    with pytest.raises(ConfigError) as err:
-        validate(replace(ExperimentConfig(), **{field: value}))
-    assert err.value.field == expected_field
+    if field in ExperimentConfig.__dataclass_fields__:
+        with pytest.raises(ConfigError) as err:
+            validate(replace(ExperimentConfig(), **{field: value}))
+        assert err.value.field == expected_field
+    else:
+        with pytest.raises(TypeError, match=field):
+            replace(ExperimentConfig(), **{field: value})
     with pytest.raises(ConfigError) as err:
         load_config(None, {field: value})
     assert err.value.field == expected_field
