@@ -22,7 +22,8 @@ from scipy.linalg import cholesky_banded, get_lapack_funcs
 # fails if either is unbound.
 from scipy.linalg import cho_solve_banded  # noqa: F401
 
-from .mesh import ConfigError, Discretization, State, SubdomainMask, _check_length, control_op
+from .mesh import (ConfigError, Discretization, State, SubdomainMask, _check_count, _check_length,
+                   control_op)
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
@@ -46,6 +47,7 @@ class TimeScheme:
     def __post_init__(self) -> None:
         if not 0 < self.t_final < inf:
             raise ConfigError("t_final", f"must be positive and finite, got {self.t_final}")
+        _check_count("n_steps", self.n_steps)
         if not 1 <= self.n_steps <= MAX_STEPS:
             raise ConfigError("n_steps", f"must lie in [1, {MAX_STEPS}], got {self.n_steps}")
         if self.method not in _THETA:

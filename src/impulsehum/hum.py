@@ -31,8 +31,8 @@ import numpy as np
 from .evolution import (TimeScheme, _check_state, _evolve_to, _grid_step, _impulse_step,
                         _write_csv, evolve, post_impulse_flow, pre_impulse_flow,
                         solve_impulsive, steps_for)
-from .mesh import (ConfigError, Discretization, State, SubdomainMask, control_op, inner, norm,
-                   subdomain_norm)
+from .mesh import (ConfigError, Discretization, State, SubdomainMask, _check_count, control_op,
+                   inner, norm, subdomain_norm)
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,10 @@ class HumConfig:
             )
         if not 0.0 < self.tol < 1.0:
             raise ConfigError("tol", f"must lie in (0, 1), got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ConfigError("max_iter", f"must be at least 1, got {self.max_iter}")
+        if self.max_iter is not None:
+            _check_count("max_iter", self.max_iter)
+            if self.max_iter < 1:
+                raise ConfigError("max_iter", f"must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

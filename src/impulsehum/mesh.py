@@ -10,6 +10,7 @@ discretizes to a single diagonal weight vector ``w``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,6 +29,12 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
+def _check_count(field_name: str, value) -> None:
+    """A count is a Python or NumPy integer; a float or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(field_name, f"must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform mesh of [a, b] with ``nx`` cells and ``nx + 1`` nodes."""
@@ -37,10 +44,16 @@ class Grid:
     nx: int
 
     def __post_init__(self) -> None:
+        _check_count("nx", self.nx)
         if self.nx < 2:
             raise ConfigError("nx", f"must be at least 2, got {self.nx}")
+        if not -np.inf < self.a < np.inf:
+            raise ConfigError("a", f"must be finite, got {self.a}")
         if not self.a < self.b:
             raise ConfigError("b", f"need a < b, got a={self.a}, b={self.b}")
+        # Python floats: a NumPy float's overflowing subtraction would warn.
+        if not float(self.b) - float(self.a) < np.inf:
+            raise ConfigError("b", f"need a finite b - a, got a={self.a}, b={self.b}")
 
     @property
     def dx(self) -> float:
@@ -127,8 +140,10 @@ class SubdomainMask:
 
 def subdomain_mask(grid: Grid, omega_lo: float, omega_hi: float) -> SubdomainMask:
     if not (grid.a < omega_lo < omega_hi < grid.b):
+        # omega_hi is at fault only when it alone lies outside (a, b).
+        hi_alone = grid.a < omega_lo < grid.b and not grid.a < omega_hi < grid.b
         raise ConfigError(
-            "omega_lo",
+            "omega_hi" if hi_alone else "omega_lo",
             f"need a < omega_lo < omega_hi < b, got ({omega_lo}, {omega_hi}) "
             f"inside ({grid.a}, {grid.b})"
         )

@@ -188,11 +188,11 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     samples = [
         cvx.ObservabilitySample(
             t_final=horizon,
-            initial=norm(u0, d),
+            initial=initial,
             observed=cvx.subdomain_norm(final[:, i], mask, d),
             final=norm(final[:, i], d),
         )
-        for i, u0 in enumerate(states)
+        for i, initial in enumerate(norm(u0, d) for u0 in states)
         for horizon, final in zip(times[2:], at[2:])
     ]
     fit = cvx.fit_observability(samples)

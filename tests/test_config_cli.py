@@ -84,6 +84,8 @@ FIELD_CASES = [
     # value, a config that sets it is refused as an unknown field
     ("kappa", -1.0, "kappa"),
     ("kappa", float("inf"), "kappa"),
+    # an interval past b is omega_hi's fault when omega_lo lies inside (a, b)
+    ("omega_hi", 1.5, "omega_hi"),
 ]
 
 
@@ -256,13 +258,19 @@ def test_run_uncontrolled_default_decays(tmp_path):
 
 
 def test_run_controlled_reduces_final_norm(tmp_path):
-    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
-    run_uncontrolled(cfg)
-    (sol,) = run_controlled(cfg, 1e-2).rows
-    unc = json.loads((tmp_path / "uncontrolled" / "summary.json").read_text())
-    assert sol.final_norm < unc["final_norm"]
-    for name in ("summary.json", "trajectory.csv", "control.csv", "report.json"):
-        assert (tmp_path / "controlled" / name).exists()
+    # At tau 0.013 the impulse step 0.013 / dt and the span T - tau are grid
+    # multiples only up to roundoff.
+    for tau in (0.01, 0.013):
+        out = tmp_path / str(tau)
+        cfg = validate(replace(ExperimentConfig(), tau=tau, out_dir=str(out)))
+        run_uncontrolled(cfg)
+        (sol,) = run_controlled(cfg, 1e-2).rows
+        unc = _strict_json(out / "uncontrolled" / "summary.json")
+        assert sol.converged and sol.final_norm < unc["final_norm"]
+        for name in ("summary.json", "report.json"):
+            _strict_json(out / "controlled" / name)
+        for name in ("trajectory.csv", "control.csv"):
+            assert (out / "controlled" / name).exists()
 
 
 def test_run_table1_rows_sorted_and_deterministic(tmp_path):
@@ -273,8 +281,15 @@ def test_run_table1_rows_sorted_and_deterministic(tmp_path):
     assert eps == [1e-2, 1e-3, 1e-4]
     # a rerun reproduces every row, and the report holds one entry per row
     assert [_row(r) for r in run_table1(cfg).rows] == [_row(r) for r in summary.rows]
-    report = json.loads((tmp_path / "table1" / "report.json").read_text())
+    report = _strict_json(tmp_path / "table1" / "report.json")
     assert sorted(map(float, report["per_epsilon"]), reverse=True) == eps
+    # A tau accepted 1.35e-7 steps off step 150 is read as step 150 by every
+    # leg of the solve, so its rows equal the exact tau's.
+    rows = []
+    for tau in (0.015, 0.0150000000135):
+        run_table1(replace(cfg, tau=tau, out_dir=str(tmp_path / str(tau))))
+        rows.append(_strict_json(tmp_path / str(tau) / "table1" / "summary.json")["rows"])
+    assert rows[0] == rows[1]
 
 
 def test_run_table1_nx4_matches_dense_oracle_pipeline(tmp_path):
@@ -305,12 +320,17 @@ def test_run_table1_nx4_matches_dense_oracle_pipeline(tmp_path):
 
 
 def test_run_sweep_emits_cells(tmp_path):
-    cfg = validate(replace(ExperimentConfig(), epsilons=(1e-2, 1e-3), out_dir=str(tmp_path)))
-    run_sweep(cfg)
-    cells = sorted(p.name for p in (tmp_path / "sweep").iterdir() if p.is_dir())
-    assert cells == ["cell00_eps_0.01", "cell01_eps_0.001"]
-    for cell in cells:
-        assert (tmp_path / "sweep" / cell / "control.csv").exists()
+    for tau in (0.01, 0.013):
+        out = tmp_path / str(tau) / "sweep"
+        cfg = validate(replace(ExperimentConfig(), tau=tau, epsilons=(1e-2, 1e-3),
+                               out_dir=str(out.parent)))
+        assert all(row.converged for row in run_sweep(cfg).rows)
+        _strict_json(out / "summary.json")
+        cells = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert cells == ["cell00_eps_0.01", "cell01_eps_0.001"]
+        for cell in cells:
+            assert (out / cell / "control.csv").exists()
+            _strict_json(out / cell / "report.json")
 
 
 def test_sweep_cells_share_the_free_rows(tmp_path):
@@ -379,14 +399,35 @@ def test_default_scenario_step_counts(tmp_path, step_count):
 
 
 def test_run_convexity_reports_constants(tmp_path):
-    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
-    run_convexity(cfg, n_seeds=5)
-    report = json.loads((tmp_path / "convexity" / "report.json").read_text())
-    assert report["constants"]["c0"] == pytest.approx(0.89875, abs=1e-12)
-    assert report["three_point"]["violations"] == 0
-    assert (tmp_path / "convexity" / "frequency.csv").exists()
-    summary = json.loads((tmp_path / "convexity" / "summary.json").read_text())
-    assert 0.0 < summary["fitted_beta"] < 1.0
+    # The report echoes the calibrated times T - 2 ell hbar, T - ell hbar, T;
+    # at ell 3 and hbar 0.002 they are 0.008, 0.014, 0.02 exactly.
+    for data, times in (({}, (0.004, 0.012, 0.02)),
+                        ({"ell": 3.0, "hbar": 0.002}, (0.008, 0.014, 0.02))):
+        out = tmp_path / str(len(data)) / "convexity"
+        cfg = validate(replace(ExperimentConfig(), out_dir=str(out.parent), **data))
+        run_convexity(cfg, n_seeds=5)
+        report = _strict_json(out / "report.json")
+        constants = report["constants"]
+        assert constants["c0"] == pytest.approx(0.89875, abs=1e-12)
+        assert (constants["t1"], constants["t2"], constants["t3"]) == times
+        assert report["three_point"]["violations"] == 0
+        assert (out / "frequency.csv").exists()
+        summary = _strict_json(out / "summary.json")
+        assert 0.0 < summary["fitted_beta"] < 1.0
+
+
+def test_run_convexity_takes_each_seed_norm_once(tmp_path, monkeypatch):
+    # per seed, its initial norm once and its final norm at each of the
+    # three fit horizons
+    calls = [0]
+
+    def counting(u, d):
+        calls[0] += 1
+        return norm(u, d)
+
+    monkeypatch.setattr(scenarios, "norm", counting)
+    run_convexity(validate(replace(ExperimentConfig(), out_dir=str(tmp_path))), n_seeds=5)
+    assert calls[0] == 5 * (1 + 3)
 
 
 # The default plan, and one whose 2.5x horizon (512.5 steps of 0.02 / 205)
@@ -501,7 +542,8 @@ def test_datum_beyond_the_bound_is_config_error(tmp_path, capsys, step_count):
     # Past MAX_DATUM the weighted products overflow; the field that set the
     # entry is named before any step is taken, in every scenario.  On a
     # domain of length 1e10 entries of 1e150 are past the bound on the
-    # weighted norm, and the field with its largest share is named.
+    # weighted norm, and the field with its largest share is named.  Ends of
+    # +-1e308 are finite, but their width b - a overflows: b is named.
     nodes = tmp_path / "nodes.txt"
     nodes.write_text("0.0\n" * 13 + "1e200\n" + "0.0\n" * 12)
     cfg = tmp_path / "huge.json"
@@ -510,7 +552,8 @@ def test_datum_beyond_the_bound_is_config_error(tmp_path, capsys, step_count):
     for data in ({"psi0_amplitude": 1e154},
                  {"psi0_kind": "nodes-from-file", "psi0_path": str(nodes)},
                  {"boundary_c": 1e154}, {"boundary_d": -1e200},
-                 {**wide, "psi0_amplitude": 1e150}, {**wide, "boundary_c": 1e150}):
+                 {**wide, "psi0_amplitude": 1e150}, {**wide, "boundary_c": 1e150},
+                 {"a": -1e308, "b": 1e308}):
         cfg.write_text(json.dumps(data))
         field = next(reversed(data))
         for scenario in SCENARIOS:

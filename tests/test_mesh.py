@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -24,6 +26,12 @@ def test_grid_validation():
     g = Grid(0.0, 1.0, 25)
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0
     assert g.dx == pytest.approx(0.04)
+    # non-finite ends, and finite ends whose width b - a overflows
+    for a, b, field in ((math.nan, 1.0, "a"), (-math.inf, 0.0, "a"), (0.0, math.inf, "b"),
+                        (0.0, math.nan, "b"), (-1e308, 1e308, "b")):
+        with pytest.raises(ValueError) as err:
+            Grid(a, b, 25)
+        assert err.value.field == field
 
 
 def test_nx2_instantiation():
@@ -125,11 +133,14 @@ def test_subdomain_mask_membership():
 
 
 def test_subdomain_mask_validation():
+    # omega_hi is named only when it alone lies outside (a, b); an inverted
+    # pair is omega_lo's fault
     grid = Grid(0.0, 1.0, 25)
-    with pytest.raises(ValueError):
-        subdomain_mask(grid, 0.0, 0.8)
-    with pytest.raises(ValueError):
-        subdomain_mask(grid, 0.8, 0.2)
+    for lo, hi, field in ((0.0, 0.8, "omega_lo"), (0.8, 0.2, "omega_lo"), (1.2, 1.5, "omega_lo"),
+                          (0.2, 1.5, "omega_hi"), (0.2, 1.0, "omega_hi")):
+        with pytest.raises(ValueError) as err:
+            subdomain_mask(grid, lo, hi)
+        assert err.value.field == field
 
 
 def test_subdomain_norm_cases():

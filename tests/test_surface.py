@@ -10,10 +10,11 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import impulsehum
-from impulsehum import ConfigError, ExperimentConfig, HumConfig, TimeScheme, WeightParams
+from impulsehum import ConfigError, ExperimentConfig, Grid, HumConfig, TimeScheme, WeightParams
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,3 +59,19 @@ def test_non_finite_horizon_is_a_config_error(build, t_final):
     with pytest.raises(ConfigError) as info:
         build(t_final)
     assert info.value.field == "t_final"
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda n: Grid(0.0, 1.0, n), "nx"),
+    (lambda n: TimeScheme(0.02, n), "n_steps"),
+    (lambda n: HumConfig(epsilon=1e-2, tau=0.01, t_final=0.02, max_iter=n), "max_iter"),
+], ids=["Grid", "TimeScheme", "HumConfig"])
+def test_counts_are_integers(build, field):
+    # A Python or NumPy integer is a count; a float, even an integral one,
+    # a bool or a string is a ConfigError before anything is built.
+    for count in (25.5, 25.0, True, "25"):
+        with pytest.raises(ConfigError) as info:
+            build(count)
+        assert info.value.field == field
+    for count in (25, np.int64(25), np.int32(25)):
+        build(count)
