@@ -41,7 +41,6 @@ from .hum import (
     HumConfig,
     cg_solve,
     cost_bound_check,
-    duality_residual,
     gramian_apply,
     solve_cost_weighted,
     solution_to_dict,
@@ -87,7 +86,6 @@ __all__ = [
     "control_op",
     "convexity_constants",
     "cost_bound_check",
-    "duality_residual",
     "epsilon_split_slack",
     "evolve",
     "evolve_trajectory",

@@ -266,9 +266,10 @@ def _march(
 
 
 def _strided(n: int, stride: int) -> frozenset:
-    """Step counts 0, stride, 2 stride, ... and n."""
+    """Step counts 0, stride, 2 stride, ... and n; ``stride`` is a count."""
+    _check_count("snapshot_stride", stride)
     if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
+        raise ConfigError("snapshot_stride", f"must be at least 1, got {stride}")
     return frozenset(range(0, n + 1, stride)) | {n}
 
 

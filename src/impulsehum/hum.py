@@ -1,4 +1,4 @@
-"""Penalized HUM machinery: Gramian, CG solver, cost bound, duality checks.
+"""Penalized HUM machinery: Gramian, CG solver, cost bound.
 
 The minimal-norm impulse control is obtained by minimizing a penalized
 quadratic functional over adjoint initial data, which is equivalent to the
@@ -28,9 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evolution import (TimeScheme, _check_state, _evolve_to, _grid_step, _impulse_step,
-                        _write_csv, evolve, post_impulse_flow, pre_impulse_flow,
-                        solve_impulsive, steps_for)
+from .evolution import (TimeScheme, _check_state, _grid_step, _impulse_step, _write_csv, evolve,
+                        post_impulse_flow, pre_impulse_flow)
 from .mesh import (ConfigError, Discretization, State, SubdomainMask, _check_count, control_op,
                    inner, norm, subdomain_norm)
 
@@ -94,8 +93,10 @@ def gramian_apply(
     mask: SubdomainMask,
     scheme: TimeScheme,
 ) -> State:
-    """Apply Lambda = E(T-tau) B E(T-tau) to ``rho``, over :func:`_span`."""
+    """Apply Lambda = E(T-tau) B E(T-tau) to ``rho``, one state, over
+    :func:`_span`; both are checked before any step."""
     span = _span(cfg, scheme)
+    rho = _check_state(rho, d, "rho")
     return evolve(control_op(evolve(rho, span, d, scheme), mask), span, d, scheme)
 
 
@@ -274,33 +275,6 @@ def solve_cost_weighted(
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     return _solve(psi0, cfg, d, mask, scheme, obs_weight=kappa**2,
                   penalty=cfg.epsilon**2, kappa=kappa)
-
-
-def duality_residual(
-    psi0: State,
-    h: State,
-    zeta0: State,
-    cfg: HumConfig,
-    d: Discretization,
-    mask: SubdomainMask,
-    scheme: TimeScheme,
-) -> float:
-    """Absolute residual of the transposition identity.
-
-    For any control h and auxiliary datum zeta0 the impulsive solution
-    satisfies <B h, Z(T-tau)> + <psi0, Z(T)> - <Psi(T), zeta0> = 0 where Z is
-    the free flow started from zeta0; the discrete residual is pure roundoff
-    because the discrete semigroup is self-adjoint.
-    """
-    span = _span(cfg, scheme)
-    psi0, h, zeta0 = (_check_state(v, d, name)
-                      for v, name in ((psi0, "psi0"), (h, "h"), (zeta0, "zeta0")))
-    z_end, z_mid = _evolve_to(
-        zeta0, [steps_for(scheme.t_final, scheme), steps_for(span, scheme)], d, scheme.theta,
-    )
-    traj = solve_impulsive(psi0, h, cfg.tau, d, mask, scheme, stride=scheme.n_steps)
-    term_control = inner(control_op(h, mask), z_mid, d)
-    return abs(term_control + inner(psi0, z_end, d) - inner(traj.final_state, zeta0, d))
 
 
 @dataclass(frozen=True)

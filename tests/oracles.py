@@ -9,7 +9,11 @@ Cholesky routines, and ``reference_frequency``, a plain per-snapshot loop
 of the frequency quotient; the library must reproduce both bit for bit.
 ``reference_objective`` writes the penalized HUM functional out with the
 library's ``evolve`` on the solve's own time grid, so CG's recorded
-functional can be checked against its definition.
+functional can be checked against its definition, and ``duality_residual``
+writes out the transposition identity the same way.  ``continuum_modes`` and
+``continuum_hum`` leave the discretization altogether: they pose the control
+problem on the closed-form modes of the continuous bar, so a test can say how
+far the library's answers are from the problem it discretizes.
 """
 
 from math import isclose
@@ -17,8 +21,9 @@ from math import isclose
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.optimize import brentq
 
-from impulsehum import evolve, inner, steps_for, subdomain_norm
+from impulsehum import control_op, evolve, inner, solve_impulsive, steps_for, subdomain_norm
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
@@ -173,6 +178,22 @@ def reference_objective(theta0, psi0, cfg, d, mask, scheme):
     )
 
 
+def duality_residual(psi0, h, zeta0, cfg, d, mask, scheme):
+    """Absolute residual of the transposition identity
+    <B h, Z(T - tau)> + <psi0, Z(T)> - <Psi(T), zeta0> = 0, where Z is the
+    free flow of ``zeta0`` and Psi the impulsive run of ``psi0`` with control
+    ``h``.  The discrete semigroup is self-adjoint, so it is roundoff.
+
+    Its legs are the solve's: with k the impulse's step
+    (``steps_for(cfg.tau, scheme)``), ``zeta0`` is marched n - k steps of
+    the scheme's dt to T - tau, then k more to T."""
+    k = steps_for(cfg.tau, scheme)[0]
+    mid = evolve(zeta0, (scheme.n_steps - k) * scheme.dt, d, scheme)
+    end = evolve(mid, k * scheme.dt, d, scheme)
+    final = solve_impulsive(psi0, h, cfg.tau, d, mask, scheme, stride=scheme.n_steps).final_state
+    return abs(inner(control_op(h, mask), mid, d) + inner(psi0, end, d) - inner(final, zeta0, d))
+
+
 def oracle_cg_iterations(a, b, tol):
     """Iterations the printed CG recurrence takes on the dense SPD system
     a f = -b from f = 0, stopping on |g_k| / |g_0| <= tol."""
@@ -191,11 +212,12 @@ def oracle_cg_iterations(a, b, tol):
     raise RuntimeError(f"dense CG did not reach tol={tol} in {k} iterations")
 
 
-def observability_constant(oracle, mask, tau, t_final, eps):
+def observability_constant(gram, gain, eps):
     """Smallest kappa for which the cost bound holds for every datum.
 
-    The cost-weighted minimizer costs <b, (kappa^2 G + eps^2)^{-1} b> with
-    b = E(T) psi0 and G = E(T - tau) B E(T - tau), so the bound
+    ``gram`` is G = E(T - tau) B E(T - tau) in orthonormal coordinates in
+    which E(T) is diag(``gain``).  The cost-weighted minimizer costs
+    <b, (kappa^2 G + eps^2)^{-1} b> with b = E(T) psi0, so the bound
     |h|^2 / kappa^2 + |Psi(T)|^2 / eps^2 <= |psi0|^2 holds for all psi0 iff
     kappa^2 G - (E(T)^2 - eps^2 I) is positive semidefinite.  That is
     monotone in kappa; bisection on the sign of its smallest eigenvalue
@@ -203,8 +225,7 @@ def observability_constant(oracle, mask, tau, t_final, eps):
     bracket [1, 1e5] keeps the roundoff in kappa^2 |G| below eps^2 for the
     penalties the tests use, so the sign can be trusted.
     """
-    gram = oracle.gramian(mask, t_final - tau)
-    lhs = np.diag(oracle.gain(t_final) ** 2 - eps**2)
+    lhs = np.diag(gain**2 - eps**2)
 
     def feasible(kappa):
         return np.linalg.eigvalsh(kappa**2 * gram - lhs)[0] >= 0.0
@@ -216,6 +237,71 @@ def observability_constant(oracle, mask, tau, t_final, eps):
         mid = np.sqrt(lo * hi)
         lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
     return hi
+
+
+def continuum_modes(a, b, n):
+    """The ``n`` slowest modes of u_t = u_xx on (a, b) with the dynamic
+    conditions u_t(a) = u_x(a) and u_t(b) = -u_x(b), the continuous problem
+    that (W, K) discretizes.
+
+    In L2(a, b) x R^2 (the interior product plus the two traces), with
+    half = (b - a) / 2 and m = (a + b) / 2, the modes are the constant,
+    cos(k (x - m)) with tan(k half) = -k and sin(k (x - m)) with
+    tan(k half) = 1 / k, each at rate k^2.  Each branch of the tangent holds
+    one root z = k half, found by ``brentq``: a sine root in
+    (j pi, (j + 1/2) pi), then a cosine root in ((j + 1/2) pi, (j + 1) pi),
+    so the roots come in ascending order.  Returns the rates and a function
+    mapping points x to the (n, len(x)) values of the normalized modes; a
+    mode's traces are its values at a and b.
+    """
+    half, m = (b - a) / 2.0, (a + b) / 2.0
+    z = [0.0]
+    for j in range(n // 2):
+        z.append(brentq(lambda z: z * np.sin(z) - half * np.cos(z),
+                        j * np.pi, (j + 0.5) * np.pi, xtol=1e-14))
+        z.append(brentq(lambda z: half * np.sin(z) + z * np.cos(z),
+                        (j + 0.5) * np.pi, (j + 1) * np.pi, xtol=1e-14))
+    k = np.array(z[:n]) / half
+    odd = np.arange(n) % 2 == 1
+    # |mode|^2 = int cos^2 or sin^2 over (a, b), half (1 +- sinc), plus the
+    # two equal squared traces; the constant is the cosine at k = 0.
+    sinc = np.sinc(2.0 * k * half / np.pi)
+    trace = np.where(odd, np.sin(k * half), np.cos(k * half)) ** 2
+    scale = np.sqrt(half * (1.0 + np.where(odd, -sinc, sinc)) + 2.0 * trace)
+
+    def modes(x):
+        arg = np.outer(k, np.asarray(x, dtype=float) - m)
+        return np.where(odd[:, None], np.sin(arg), np.cos(arg)) / scale[:, None]
+
+    return k**2, modes
+
+
+def gauss_legendre(lo, hi, points):
+    """Nodes and weights of the ``points``-point Gauss-Legendre rule on
+    [lo, hi]."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    return lo + (hi - lo) * (x + 1.0) / 2.0, (hi - lo) / 2.0 * w
+
+
+def continuum_hum(a, b, omega, tau, t_final, psi0):
+    """The penalized HUM problem of the continuum on its 81 slowest modes
+    (:func:`continuum_modes`), with 600-point Gauss-Legendre quadrature.
+
+    Returns G = E(s) B E(s), s = T - tau, with B the restriction to the
+    interval ``omega`` (G_ij = e^{-lam_i s} int_omega phi_i phi_j
+    e^{-lam_j s}), the gains e^{-lam T} of E(T), and the coefficients
+    c_i = <psi0, phi_i> of the function ``psi0``, whose traces are its
+    values at a and b.  (G + eps) f = -gain c is the solve's system, and
+    then |h|^2 = f G f and |Psi(T)| = eps |f|.
+    """
+    lam, modes = continuum_modes(a, b, 81)
+    x, w = gauss_legendre(a, b, 600)
+    ends = np.array([a, b])
+    coef = modes(x) @ (w * psi0(x)) + modes(ends) @ psi0(ends)
+    xo, wo = gauss_legendre(*omega, 600)
+    on = modes(xo)
+    decay = np.exp(-lam * (t_final - tau))
+    return decay[:, None] * ((on * wo) @ on.T) * decay[None, :], np.exp(-lam * t_final), coef
 
 
 def assemble_operator(apply_fn, n):

@@ -287,8 +287,8 @@ def test_criterion_6_cost_weighted_construction():
     cfg, grid, d, mask, scheme, psi0 = _default_setup()
     eps = cfg.epsilons[0]
     oracle = ThetaOracle(d, scheme)
-    kappa_obs = observability_constant(oracle, mask, cfg.tau, cfg.t_final, eps)
     gram = oracle.gramian(mask, cfg.t_final - cfg.tau)
+    kappa_obs = observability_constant(gram, oracle.gain(cfg.t_final), eps)
 
     def check(u0, kappa):
         hum = HumConfig(epsilon=eps, tau=cfg.tau, t_final=cfg.t_final, tol=cfg.tol,

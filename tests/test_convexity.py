@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,11 @@ def test_constants_calibrated_pair_consistent():
         num = time_weight_quadrature(T, hbar, c.c0, c.t2, c.t3)
         den = time_weight_quadrature(T, hbar, c.c0, c.t1, c.t2)
         assert c.m_three_point == pytest.approx(num / den, rel=1e-8)
+        assert c.d_three_point == pytest.approx(4 * c.d_ell, rel=1e-12)
+    # Which D the calibrated chain means is open; that the two differ by
+    # exactly 4 (t3 - t1 = 2 ell hbar) is checked at other (ell, hbar) too.
+    for ell, hbar in ((2.0, 0.004), (3.0, 0.002), (1.5, 0.005)):
+        c = convexity_constants(replace(WP, hbar=hbar), grid, ell=ell)
         assert c.d_three_point == pytest.approx(4 * c.d_ell, rel=1e-12)
 
 

@@ -14,7 +14,6 @@ from impulsehum import (
     cg_solve,
     control_op,
     cost_bound_check,
-    duality_residual,
     evolve,
     gramian_apply,
     initial_state,
@@ -34,7 +33,7 @@ from impulsehum import (
 from impulsehum.evolution import _impulse_step
 
 from oracles import (assemble_operator, central_difference, dense_gramian, dense_k,
-                     reference_objective)
+                     duality_residual, reference_objective)
 
 
 def _cfg(eps, **kw):
@@ -383,8 +382,7 @@ def test_off_grid_tau_rejected_before_marching(step_count, setup25):
     cfg = HumConfig(epsilon=1e-2, tau=0.010003, t_final=0.02)
     solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
               lambda: _cost_weighted(psi0, cfg, d, mask, scheme),
-              lambda: gramian_apply(psi0, cfg, d, mask, scheme),
-              lambda: duality_residual(psi0, np.zeros_like(psi0), psi0, cfg, d, mask, scheme)]
+              lambda: gramian_apply(psi0, cfg, d, mask, scheme)]
     for solve in solves:
         with pytest.raises(ValueError, match="off the time grid"):
             solve()
@@ -400,7 +398,6 @@ def test_tau_read_as_final_step_rejected_before_marching(final_step_tau, step_co
     solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
               lambda: _cost_weighted(psi0, cfg, d, mask, scheme),
               lambda: gramian_apply(psi0, cfg, d, mask, scheme),
-              lambda: duality_residual(psi0, h, psi0, cfg, d, mask, scheme),
               lambda: solve_impulsive(psi0, h, tau, d, mask, scheme)]
     for solve in solves:
         with pytest.raises(ConfigError, match="0 < k <") as err:
@@ -414,28 +411,26 @@ def test_horizon_mismatch_rejected_before_marching(step_count, setup25):
     cfg = HumConfig(epsilon=1e-2, tau=0.01, t_final=0.03)
     solves = [lambda: cg_solve(psi0, cfg, d, mask, scheme),
               lambda: _cost_weighted(psi0, cfg, d, mask, scheme),
-              lambda: gramian_apply(psi0, cfg, d, mask, scheme),
-              lambda: duality_residual(psi0, np.zeros_like(psi0), psi0, cfg, d, mask, scheme)]
+              lambda: gramian_apply(psi0, cfg, d, mask, scheme)]
     for solve in solves:
         with pytest.raises(ValueError, match="needs the scheme's horizon"):
             solve()
     assert step_count[0] == 0
 
 
-_BAD ={"non-finite": lambda n: np.full(n, np.nan), "wrong-shape": lambda n: np.zeros(n + 1)}
+_BAD = {"non-finite": lambda n: np.full(n, np.nan), "wrong-shape": lambda n: np.zeros(n + 1),
+        "matrix": lambda n: np.eye(n), "block": lambda n: np.zeros((n, 3))}
 
 
 @pytest.mark.parametrize("kind", sorted(_BAD))
-@pytest.mark.parametrize("name", ["psi0", "zeta0"])
+@pytest.mark.parametrize("name", ["psi0", "rho"])
 def test_bad_inputs_named_before_marching(name, kind, step_count, setup25):
-    _, d, mask, scheme, psi0 = setup25
-    args = {"psi0": psi0, "zeta0": psi0, name: _BAD[kind](d.grid.n_dof)}
+    # psi0 of a solve and rho of the Gramian are one state each: a block of
+    # states, one per column, is refused like a wrong length.
+    _, d, mask, scheme, _ = setup25
+    solve = cg_solve if name == "psi0" else gramian_apply
     with pytest.raises(ValueError, match=f"{name} (contains non-finite|has shape)"):
-        if name == "zeta0":
-            duality_residual(args["psi0"], np.zeros_like(psi0), args["zeta0"], _cfg(1e-2), d,
-                             mask, scheme)
-        else:
-            cg_solve(args["psi0"], _cfg(1e-2), d, mask, scheme)
+        solve(_BAD[kind](d.grid.n_dof), _cfg(1e-2), d, mask, scheme)
     assert step_count[0] == 0
 
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from impulsehum import (
     Grid,
@@ -14,7 +13,7 @@ from impulsehum import (
     subdomain_norm,
 )
 
-from oracles import dense_generator, dense_k
+from oracles import continuum_modes, dense_generator, dense_k
 
 
 def test_grid_validation():
@@ -63,22 +62,11 @@ def test_nx4_spectrum_nonpositive_one_zero():
     assert np.sum(np.abs(ev) < 1e-10) == 1
 
 
-def _continuum_eigenvalues(length: float, count: int) -> np.ndarray:
-    """The first ``count`` positive eigenvalues k^2 of -u'' = k^2 u with the
-    dynamic conditions, i.e. the roots of 2k cos(kL) + (1 - k^2) sin(kL)."""
-    g = lambda k: 2.0 * k * np.cos(k * length) + (1.0 - k * k) * np.sin(k * length)
-    ks = np.linspace(1e-3, (count + 1) * np.pi / length, 4000)
-    vals = g(ks)
-    roots = [brentq(g, lo, hi, xtol=1e-15, rtol=1e-15)
-             for lo, hi, glo, ghi in zip(ks, ks[1:], vals, vals[1:]) if glo * ghi < 0]
-    return np.array(roots[:count]) ** 2
-
-
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.5, 2.0)])
 def test_spectrum_converges_at_second_order(a, b):
     # Eigenvalues 1-4 of the pencil (-K, W), from the symmetric tridiagonal
     # W^{-1/2} (-K) W^{-1/2}, against the continuum eigenvalues.
-    exact = _continuum_eigenvalues(b - a, 4)
+    exact = continuum_modes(a, b, 5)[0][1:]
     errors = []
     for nx in (25, 50, 100, 200, 400, 800, 1600):
         d = build_discretization(Grid(a, b, nx))

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import impulsehum
-from impulsehum import ConfigError, ExperimentConfig, Grid, HumConfig, TimeScheme, WeightParams
+from impulsehum import (ConfigError, ExperimentConfig, Grid, HumConfig, TimeScheme, WeightParams,
+                        build_discretization, evolve_trajectory)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,13 +66,17 @@ def test_non_finite_horizon_is_a_config_error(build, t_final):
     (lambda n: Grid(0.0, 1.0, n), "nx"),
     (lambda n: TimeScheme(0.02, n), "n_steps"),
     (lambda n: HumConfig(epsilon=1e-2, tau=0.01, t_final=0.02, max_iter=n), "max_iter"),
-], ids=["Grid", "TimeScheme", "HumConfig"])
-def test_counts_are_integers(build, field):
+    (lambda n: evolve_trajectory(np.zeros(26), build_discretization(Grid(0.0, 1.0, 25)),
+                                 TimeScheme(0.02, 200), stride=n), "snapshot_stride"),
+], ids=["Grid", "TimeScheme", "HumConfig", "stride"])
+def test_counts_are_integers(build, field, step_count):
     # A Python or NumPy integer is a count; a float, even an integral one,
-    # a bool or a string is a ConfigError before anything is built.
+    # a bool or a string is a ConfigError before anything is built or
+    # marched.
     for count in (25.5, 25.0, True, "25"):
         with pytest.raises(ConfigError) as info:
             build(count)
         assert info.value.field == field
+    assert step_count[0] == 0
     for count in (25, np.int64(25), np.int32(25)):
         build(count)
