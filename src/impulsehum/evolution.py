@@ -9,9 +9,10 @@ the contraction property of the continuous flow.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from math import ceil, inf
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
@@ -34,6 +35,10 @@ MAX_STEPS = 10**8
 # The most step factors one Discretization keeps, oldest dropped first; a
 # march needs one per step size, and no scenario uses more than four.
 _MAX_FACTORS = 8
+
+# The most files one trajectory write keeps open, well below the usual
+# per-process limit (256 or 1024); more files share their rows in groups.
+_MAX_OPEN = 64
 
 
 @dataclass(frozen=True)
@@ -195,42 +200,62 @@ class Trajectory:
     def final_state(self) -> State:
         return self.states[-1]
 
-    @cached_property
-    def _csv_rows(self) -> tuple[str, ...]:
-        """The lines :meth:`to_csv` writes below the header, formatted on
-        first use and kept: a trajectory passed as the ``head`` of several
-        files is formatted once."""
-        return tuple(_csv_lines(self._table()))
-
-    def _table(self) -> np.ndarray:
-        return np.column_stack([self.times, self.states])
-
     def to_csv(self, path, head: Optional["Trajectory"] = None) -> None:
         """Write rows t, x_0..x_nx, one per snapshot.
 
-        With ``head``, its rows (:attr:`_csv_rows`) come first, so
+        With ``head``, its rows come first, so
         ``post_impulse_flow(pre, ...).to_csv(path, head=pre)`` writes the
-        bytes of the matching ``solve_impulsive(...).to_csv(path)``.
+        bytes of the matching ``solve_impulsive(...).to_csv(path)``.  A
+        ``head`` with another state shape, or ending after this trajectory
+        starts, is refused before the file is opened.
         """
-        n = self.states.shape[1]
-        _write_csv(path, "t," + ",".join(f"x_{i}" for i in range(n)), self._table(),
-                   head._csv_rows if head is not None else ())
+        if head is None:
+            return _write_trajectory_csvs([path], self, [])
+        if head.states.shape[1:] != self.states.shape[1:]:
+            raise ValueError(f"head has states of shape {head.states.shape[1:]}, not "
+                             f"{self.states.shape[1:]}")
+        if head.times.size and self.times.size and head.times[-1] > self.times[0]:
+            raise ValueError(f"head ends at t={head.times[-1]}, after t={self.times[0]}")
+        _write_trajectory_csvs([path], head, [self])
 
 
-def _csv_lines(table) -> Iterator[str]:
-    """One line per row of ``table``, each entry as the repr of its float
-    value."""
-    for row in np.asarray(table, dtype=float):
-        yield ",".join(map(repr, row.tolist())) + "\n"
+def _csv_line(row: list) -> str:
+    """One CSV line, each entry as the repr of its float value."""
+    return ",".join(map(repr, row)) + "\n"
 
 
-def _write_csv(path, header: str, table, head: Iterable[str] = ()) -> None:
-    """Write ``header``, the lines in ``head``, then the lines of ``table``
-    one row at a time."""
+def _csv_lines(traj: Trajectory) -> Iterator[str]:
+    """One line per snapshot of ``traj``, formatted from ``times`` and
+    ``states`` one row at a time."""
+    times, states = np.asarray(traj.times, dtype=float), np.asarray(traj.states, dtype=float)
+    for t, u in zip(times.tolist(), states):
+        yield _csv_line([t, *u.tolist()])
+
+
+def _write_trajectory_csvs(paths: Sequence, head: Trajectory,
+                           tails: Iterable[Trajectory]) -> None:
+    """Write the CSV of ``head`` into each file of ``paths``, each line
+    formatted once for up to :data:`_MAX_OPEN` files, then the rows of the
+    next of ``tails`` into each file in turn.  A tail is drawn only once the
+    last is written, so a generator of them holds one at a time."""
+    header = "t," + ",".join(f"x_{i}" for i in range(head.states.shape[1])) + "\n"
+    rows = map(_csv_lines, tails)
+    for i in range(0, len(paths), _MAX_OPEN):
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(path, "w", encoding="utf-8"))
+                     for path in paths[i:i + _MAX_OPEN]]
+            for line in chain([header], _csv_lines(head)):
+                for fh in files:
+                    fh.write(line)
+            for fh, lines in zip(files, rows):
+                fh.writelines(lines)
+
+
+def _write_csv(path, header: str, table) -> None:
+    """Write ``header``, then the lines of ``table`` one row at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(head)
-        fh.writelines(_csv_lines(table))
+        fh.writelines(_csv_line(row.tolist()) for row in np.asarray(table, dtype=float))
 
 
 def _march(
@@ -249,20 +274,20 @@ def _march(
     itself) at time j dt, and nothing else.
     """
     step = _make_step(d, dt, theta, u.shape)
-    times, states = [], []
-    if start in keep:
-        times.append(start * dt)
-        states.append(u.copy())
+    rows = sorted(j for j in keep if start <= j <= n)
+    row = {j: i for i, j in enumerate(rows)}
+    states = np.empty((len(rows), *u.shape))
+    if start in row:
+        states[0] = u
     for j in range(start + 1, n + 1):
         u = step(u)
-        if j in keep:
-            times.append(j * dt)
-            states.append(u.copy())
+        if j in row:
+            states[row[j]] = u
     # The step is linear with finite coefficients, so a non-finite entry
     # (overflow) persists to the last state once it appears.
     if not np.all(np.isfinite(u)):
         raise ValueError("state became non-finite while stepping")
-    return Trajectory(times=np.array(times), states=np.array(states))
+    return Trajectory(times=np.array(rows, dtype=float) * dt, states=states)
 
 
 def _strided(n: int, stride: int) -> frozenset:

@@ -28,6 +28,7 @@ from .config import (
 )
 from .evolution import (
     _evolve_to,
+    _write_trajectory_csvs,
     evolve_trajectory,
     post_impulse_flow,
     pre_impulse_flow,
@@ -55,14 +56,16 @@ class RunSummary:
     wall_time: float
 
 
-def _setup(cfg: ExperimentConfig, scenario: str):
-    """Create ``<out>/<scenario>/`` before any computation, so an unusable
-    ``out_dir`` fails at once, then build the configured problem."""
+def _setup(cfg: ExperimentConfig, scenario: str, cells=()):
+    """Create ``<out>/<scenario>/`` and its ``cells`` subdirectories before
+    any computation, so an unusable ``out_dir`` fails at once, then build
+    the configured problem."""
     out = Path(cfg.out_dir) / scenario
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("out_dir", f"cannot create {out}: {exc.strerror}") from exc
+    for path in (out, *(out / cell for cell in cells)):
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out_dir", f"cannot create {path}: {exc.strerror}") from exc
     grid = make_grid(cfg)
     d = build_discretization(grid)
     mask = make_mask(cfg, grid)
@@ -88,21 +91,6 @@ def _write_summary(cfg: ExperimentConfig, out: Path, t0: float, fields: dict,
     return RunSummary(out.name, tuple(rows), time.perf_counter() - t0)
 
 
-def _write_cell(out: Path, cfg: ExperimentConfig, d, mask, scheme, free,
-                sol: HumSolution) -> None:
-    """Write one solve's ``trajectory.csv`` (replayed at the configured
-    snapshot stride), ``control.csv`` and ``report.json`` into ``out``.
-
-    ``free`` is the scenario's :func:`pre_impulse_flow` at that stride,
-    shared by every cell; only the flow after the impulse is marched and
-    formatted here, and the file keeps the bytes of
-    ``solve_impulsive(...).to_csv``."""
-    post = post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
-    post.to_csv(out / "trajectory.csv", head=free)
-    write_state_csv(d.grid.nodes, sol.control, out / "control.csv")
-    write_solution_json(sol, out / "report.json")
-
-
 def run_uncontrolled(cfg: ExperimentConfig) -> RunSummary:
     """Free evolution from the configured initial state."""
     t0 = time.perf_counter()
@@ -119,7 +107,10 @@ def run_controlled(cfg: ExperimentConfig, epsilon: float) -> RunSummary:
     out, grid, d, mask, scheme, psi0 = _setup(cfg, "controlled")
     sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme)
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
-    _write_cell(out, cfg, d, mask, scheme, free, sol)
+    post = post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
+    post.to_csv(out / "trajectory.csv", head=free)
+    write_state_csv(d.grid.nodes, sol.control, out / "control.csv")
+    write_solution_json(sol, out / "report.json")
     fields = {**_row(sol), "initial_norm": sol.initial_norm}
     return _write_summary(cfg, out, t0, fields, (sol,))
 
@@ -141,16 +132,22 @@ def run_table1(cfg: ExperimentConfig) -> RunSummary:
 
 
 def run_sweep(cfg: ExperimentConfig) -> RunSummary:
-    """Like table1, but each penalty cell keeps its full artifacts."""
+    """Like table1, but each penalty cell, made before any solve, keeps its
+    full artifacts.  The cells' ``trajectory.csv`` share the free rows,
+    formatted once, and each cell's flow after the impulse is marched when
+    its file is reached, so one is held at a time."""
     t0 = time.perf_counter()
-    out, grid, d, mask, scheme, psi0 = _setup(cfg, "sweep")
+    names = [f"cell{i:02d}_eps_{eps:g}"
+             for i, eps in enumerate(sorted(cfg.epsilons, reverse=True))]
+    out, grid, d, mask, scheme, psi0 = _setup(cfg, "sweep", names)
+    solves = list(_penalty_solves(cfg, d, mask, scheme, psi0))
     free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
-    solves = []
-    for i, sol in enumerate(_penalty_solves(cfg, d, mask, scheme, psi0)):
-        cell = out / f"cell{i:02d}_eps_{sol.epsilon:g}"
-        cell.mkdir(parents=True, exist_ok=True)
-        _write_cell(cell, cfg, d, mask, scheme, free, sol)
-        solves.append(sol)
+    posts = (post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
+             for sol in solves)
+    _write_trajectory_csvs([out / name / "trajectory.csv" for name in names], free, posts)
+    for name, sol in zip(names, solves):
+        write_state_csv(d.grid.nodes, sol.control, out / name / "control.csv")
+        write_solution_json(sol, out / name / "report.json")
     return _write_summary(cfg, out, t0, {"rows": [_row(sol) for sol in solves]}, solves)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from impulsehum import (
     ConfigError,
     ExperimentConfig,
     SplitMix64,
+    build_discretization,
     initial_state,
     load_config,
     norm,
+    pre_impulse_flow,
     run_controlled,
     run_convexity,
     run_sweep,
@@ -398,6 +401,28 @@ def test_default_scenario_step_counts(tmp_path, step_count):
         assert step_count[0] == steps
 
 
+def test_sweep_holds_one_trajectory_at_a_time(tmp_path):
+    # At the benchmark's sweep-nx400 config the free flow to the impulse and
+    # each cell's flow after it hold 101 snapshots of 401 entries (325 KB).
+    # A sweep op holds the free flow and one other.  The slack of 100
+    # states (320 KB) covers one formatted row, the solves' vectors, the
+    # step's buffers and the open files: about 160 KB in all.
+    cfg = validate(replace(ExperimentConfig(), nx=400, n_steps=200, snapshot_stride=1,
+                           epsilons=(1e-2, 1e-3, 1e-4), tol=1e-3, out_dir=str(tmp_path)))
+    run_sweep(cfg)  # first-call caches are not the op's
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = make_grid(cfg)
+    free = pre_impulse_flow(initial_state(cfg, grid), cfg.tau, build_discretization(grid),
+                            make_scheme(cfg))
+    assert free.states.shape == (101, 401)
+    assert peak < 2 * (free.times.nbytes + free.states.nbytes) + 100 * free.states[0].nbytes
+
+
 def test_run_convexity_reports_constants(tmp_path):
     # The report echoes the calibrated times T - 2 ell hbar, T - ell hbar, T;
     # at ell 3 and hbar 0.002 they are 0.008, 0.014, 0.02 exactly.
@@ -529,13 +554,20 @@ def test_cli_exit_codes(tmp_path, capsys, step_count):
         err = capsys.readouterr().err
         assert "eps=0.0001" in err and "sweep cell" not in err
     # an output path that names a file is the out_dir field's fault, found
-    # before any step is taken
-    for scenario in ("uncontrolled", "controlled", "table1", "sweep", "convexity"):
+    # before any step is taken: the scenario's directory or a sweep cell's,
+    # and then no cell is written
+    runs = [(scenario, cfg) for scenario in SCENARIOS]
+    for cell in ("cell00_eps_0.1", "cell01_eps_0.01"):
+        (tmp_path / cell / "sweep").mkdir(parents=True)
+        (tmp_path / cell / "sweep" / cell).write_text("")
+        runs.append(("sweep", tmp_path / cell))
+    for scenario, out in runs:
         capsys.readouterr()
         step_count[0] = 0
-        assert main([scenario, "--out", str(cfg), "--epsilon", "1e-1"]) == EXIT_CONFIG
+        assert main([scenario, "--out", str(out), "--epsilon", "1e-1,1e-2"]) == EXIT_CONFIG
         assert "'out_dir'" in capsys.readouterr().err
         assert step_count[0] == 0
+    assert not list((tmp_path / "cell01_eps_0.01" / "sweep" / "cell00_eps_0.1").iterdir())
 
 
 def test_datum_beyond_the_bound_is_config_error(tmp_path, capsys, step_count):

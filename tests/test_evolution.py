@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,9 @@ from impulsehum import (
     subdomain_mask,
 )
 
-from impulsehum.evolution import _MAX_FACTORS, MAX_STEPS, _evolve_to, _march
+from impulsehum import evolution
+from impulsehum.evolution import (_MAX_FACTORS, MAX_STEPS, _evolve_to, _march,
+                                  _write_trajectory_csvs)
 from impulsehum.mesh import ConfigError
 
 from oracles import dense_semigroup, reference_march
@@ -443,6 +447,60 @@ def test_trajectory_csv(tmp_path, setup25):
     assert [[float(v) for v in l.split(",")] for l in lines[1:]] == expected
     j = times.index(0.01)
     assert expected[j][1:] == [*pre_impulse_flow(psi0, 0.01, d, scheme).final_state]
+
+
+def test_to_csv_refuses_a_head_that_does_not_fit(tmp_path, setup25):
+    _, d, mask, scheme, psi0 = setup25
+    pre = pre_impulse_flow(psi0, 0.01, d, scheme)
+    post = post_impulse_flow(pre, np.ones(26), d, mask, scheme)
+    grid10 = Grid(0.0, 1.0, 10)
+    d10 = build_discretization(grid10)
+    pre10 = pre_impulse_flow(np.sin(np.pi * grid10.nodes), 0.01, d10, scheme)
+    post10 = post_impulse_flow(pre10, np.ones(11), d10, subdomain_mask(grid10, 0.2, 0.8),
+                               scheme)
+    path = tmp_path / "traj.csv"
+    # head rows of 27 columns under a header of 12
+    with pytest.raises(ValueError, match=r"head has states of shape \(26,\), not \(11,\)"):
+        post10.to_csv(path, head=pre)
+    # a head that runs past the start would put the rows out of time order
+    with pytest.raises(ValueError, match="head ends at t=0.02, after t=0.01"):
+        post.to_csv(path, head=evolve_trajectory(psi0, d, scheme))
+    assert not path.exists()
+    # the impulse time may repeat: the head ends where the trajectory starts
+    post.to_csv(path, head=pre)
+    assert path.read_bytes() == _csv_bytes(solve_impulsive(psi0, np.ones(26), 0.01, d, mask,
+                                                           scheme), tmp_path / "whole.csv")
+
+
+def _csv_bytes(traj, path):
+    traj.to_csv(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("max_open", [1, 2, 64])
+def test_trajectory_csvs_share_the_head(tmp_path, setup25, monkeypatch, max_open):
+    # Three files written in groups of max_open each keep the bytes of the
+    # whole run, and each tail is freed before the next is marched.
+    monkeypatch.setattr(evolution, "_MAX_OPEN", max_open)
+    _, d, mask, scheme, psi0 = setup25
+    pre = pre_impulse_flow(psi0, 0.01, d, scheme, stride=3)
+    controls = np.random.default_rng(5).standard_normal((3, 26))
+    paths = [tmp_path / f"cell{i}.csv" for i in range(3)]
+    refs, held = [], []
+
+    def tails():
+        for h in controls:
+            held.append(sum(ref() is not None for ref in refs))
+            tail = post_impulse_flow(pre, h, d, mask, scheme, stride=3)
+            refs.append(weakref.ref(tail))
+            yield tail
+            del tail
+
+    _write_trajectory_csvs(paths, pre, tails())
+    assert held == [0, 0, 0]
+    for i, (path, h) in enumerate(zip(paths, controls)):
+        whole = solve_impulsive(psi0, h, 0.01, d, mask, scheme, stride=3)
+        assert path.read_bytes() == _csv_bytes(whole, tmp_path / f"whole{i}.csv")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

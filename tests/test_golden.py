@@ -7,10 +7,10 @@ scenario at the default config, with ``config.out_dir`` dropped.
 by path below the output directory.  ``data/golden_convexity_nsteps201.json``
 holds the convexity ``report.json`` at ``--nsteps 201``.  Floats must agree to 1e-12 relative;
 ints, bools, strings, nulls and the config echo must match exactly.
-``data/golden_csv_sha256.json`` holds the sha256 of every ``trajectory.csv``
-and ``control.csv`` that ``controlled`` and ``sweep`` write at the default
-config, for each (method, snapshot stride) in ``CSV_RUNS``: these files must
-keep their bytes.  Refresh a file only for a change meant to alter results.
+``data/golden_csv_sha256.json`` holds the sha256 of every CSV that
+``uncontrolled``, ``controlled``, ``sweep`` and ``convexity`` write at the
+default config, for each (method, snapshot stride) in ``CSV_RUNS``: these
+files must keep their bytes.  Refresh a file only for a change meant to alter results.
 """
 
 import hashlib
@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from impulsehum import ExperimentConfig, run_controlled, run_sweep, validate
+from impulsehum import (ExperimentConfig, run_controlled, run_convexity, run_sweep,
+                        run_uncontrolled, validate)
 from impulsehum.cli import EXIT_OK, main
 
 DATA = Path(__file__).parent / "data"
@@ -80,13 +81,15 @@ def test_convexity_report_with_several_step_sizes_matches_golden(tmp_path):
 
 
 def csv_digests(method: str, stride: int, out: Path) -> dict:
-    """sha256 of each CSV that ``controlled`` (at the first penalty) and
-    ``sweep`` write at the default config with ``method`` and ``stride``,
-    keyed by path below ``out``."""
+    """sha256 of each CSV that ``uncontrolled``, ``controlled`` (at the first
+    penalty), ``sweep`` and ``convexity`` write at the default config with
+    ``method`` and ``stride``, keyed by path below ``out``."""
     cfg = validate(replace(ExperimentConfig(), method=method, snapshot_stride=stride,
                            out_dir=str(out)))
+    run_uncontrolled(cfg)
     run_controlled(cfg, cfg.epsilons[0])
     run_sweep(cfg)
+    run_convexity(cfg)
     return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*.csv"))}
 
