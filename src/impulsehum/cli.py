@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .config import ConfigError, load_config
 from .scenarios import (
@@ -74,7 +75,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
+        t0 = time.perf_counter()
         summary = args.run(cfg)
+        wall_time = time.perf_counter() - t0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -84,7 +87,7 @@ def main(argv=None) -> int:
     if failed:
         print(f"solver failure: {'; '.join(failed)} (partial results kept)", file=sys.stderr)
         return EXIT_SOLVER
-    print(f"{summary.scenario}: done in {summary.wall_time:.3f} s "
+    print(f"{summary.scenario}: done in {wall_time:.3f} s "
           f"-> {cfg.out_dir}/{summary.scenario}/")
     return EXIT_OK
 

@@ -200,23 +200,9 @@ class Trajectory:
     def final_state(self) -> State:
         return self.states[-1]
 
-    def to_csv(self, path, head: Optional["Trajectory"] = None) -> None:
-        """Write rows t, x_0..x_nx, one per snapshot.
-
-        With ``head``, its rows come first, so
-        ``post_impulse_flow(pre, ...).to_csv(path, head=pre)`` writes the
-        bytes of the matching ``solve_impulsive(...).to_csv(path)``.  A
-        ``head`` with another state shape, or ending after this trajectory
-        starts, is refused before the file is opened.
-        """
-        if head is None:
-            return _write_trajectory_csvs([path], self, [])
-        if head.states.shape[1:] != self.states.shape[1:]:
-            raise ValueError(f"head has states of shape {head.states.shape[1:]}, not "
-                             f"{self.states.shape[1:]}")
-        if head.times.size and self.times.size and head.times[-1] > self.times[0]:
-            raise ValueError(f"head ends at t={head.times[-1]}, after t={self.times[0]}")
-        _write_trajectory_csvs([path], head, [self])
+    def to_csv(self, path) -> None:
+        """Write rows t, x_0..x_nx, one per snapshot."""
+        _write_trajectory_csvs([path], self, [])
 
 
 def _csv_line(row: list) -> str:

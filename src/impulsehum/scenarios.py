@@ -2,14 +2,13 @@
 
 Every scenario writes into ``<out>/<scenario>/``: a deterministic
 ``summary.json`` (byte-identical across reruns with the same config and
-seed), plus CSV/JSON artifacts.  Wall-clock timings are returned to the
-caller and printed by the CLI but deliberately kept out of summary.json so
-reruns stay byte-identical.
+seed), plus CSV/JSON artifacts.  Only the CLI times a run; no timing enters
+summary.json, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
 
-import time
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -48,30 +47,38 @@ from .rng import SplitMix64, random_smooth_state
 
 @dataclass(frozen=True)
 class RunSummary:
-    """One scenario run: its name, its HUM solves in penalty order (empty
-    for the free-flow scenarios) and its wall time."""
+    """One scenario run: its name and its HUM solves in penalty order (empty
+    for the free-flow scenarios)."""
 
     scenario: str
     rows: tuple[HumSolution, ...]
-    wall_time: float
 
 
-def _setup(cfg: ExperimentConfig, scenario: str, cells=()):
-    """Create ``<out>/<scenario>/`` and its ``cells`` subdirectories before
-    any computation, so an unusable ``out_dir`` fails at once, then build
-    the configured problem."""
+# The files of one penalty cell: the controlled scenario's and each sweep cell's.
+_CELL_FILES = ("trajectory.csv", "control.csv", "report.json")
+
+
+def _setup(cfg: ExperimentConfig, scenario: str, files):
+    """Create ``<out>/<scenario>/`` and the directories of ``files``, the
+    paths the scenario writes below it besides ``summary.json``, before any
+    computation, so an unusable ``out_dir`` fails at once (a file path that
+    is a directory included), then build the configured problem."""
     out = Path(cfg.out_dir) / scenario
-    for path in (out, *(out / cell for cell in cells)):
+    paths = [out / name for name in ("summary.json", *files)]
+    for path in dict.fromkeys(path.parent for path in paths):
         try:
             path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError("out_dir", f"cannot create {path}: {exc.strerror}") from exc
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError("out_dir", f"cannot write {path}: it is a directory")
     grid = make_grid(cfg)
     d = build_discretization(grid)
     mask = make_mask(cfg, grid)
     scheme = make_scheme(cfg)
     psi0 = initial_state(cfg, grid)
-    return out, grid, d, mask, scheme, psi0
+    return out, d, mask, scheme, psi0
 
 
 def _row(sol: HumSolution) -> dict:
@@ -81,38 +88,46 @@ def _row(sol: HumSolution) -> dict:
             "converged": sol.converged}
 
 
-def _write_summary(cfg: ExperimentConfig, out: Path, t0: float, fields: dict,
-                   rows=()) -> RunSummary:
+def _write_summary(cfg: ExperimentConfig, out: Path, fields: dict, rows=()) -> RunSummary:
     """Write ``summary.json`` (``fields`` plus the scenario name and the
     config echo) into the scenario directory ``out`` from :func:`_setup`
-    and return the run's summary, timed from ``t0``."""
+    and return the run's summary."""
     summary = {"scenario": out.name, "config": cfg.to_dict(), **fields}
     write_json(summary, out / "summary.json")
-    return RunSummary(out.name, tuple(rows), time.perf_counter() - t0)
+    return RunSummary(out.name, tuple(rows))
+
+
+def _write_cells(dirs, solves, cfg: ExperimentConfig, d, mask, scheme, psi0) -> None:
+    """Write the :data:`_CELL_FILES` of each solve into its directory of
+    ``dirs``.  The free rows are marched and formatted once for every cell;
+    each cell's later flow is marched when its file is reached, so one is
+    held at a time."""
+    free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
+    posts = (post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
+             for sol in solves)
+    trajectory, control, report = _CELL_FILES
+    _write_trajectory_csvs([cell / trajectory for cell in dirs], free, posts)
+    for cell, sol in zip(dirs, solves):
+        write_state_csv(d.grid.nodes, sol.control, cell / control)
+        write_solution_json(sol, cell / report)
 
 
 def run_uncontrolled(cfg: ExperimentConfig) -> RunSummary:
     """Free evolution from the configured initial state."""
-    t0 = time.perf_counter()
-    out, grid, d, mask, scheme, psi0 = _setup(cfg, "uncontrolled")
+    out, d, mask, scheme, psi0 = _setup(cfg, "uncontrolled", ["trajectory.csv"])
     traj = evolve_trajectory(psi0, d, scheme, stride=cfg.snapshot_stride)
     traj.to_csv(out / "trajectory.csv")
     fields = {"initial_norm": norm(psi0, d), "final_norm": norm(traj.final_state, d)}
-    return _write_summary(cfg, out, t0, fields)
+    return _write_summary(cfg, out, fields)
 
 
 def run_controlled(cfg: ExperimentConfig, epsilon: float) -> RunSummary:
     """One impulse-controlled solve at the given penalty."""
-    t0 = time.perf_counter()
-    out, grid, d, mask, scheme, psi0 = _setup(cfg, "controlled")
+    out, d, mask, scheme, psi0 = _setup(cfg, "controlled", _CELL_FILES)
     sol = cg_solve(psi0, make_hum_config(cfg, epsilon), d, mask, scheme)
-    free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
-    post = post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
-    post.to_csv(out / "trajectory.csv", head=free)
-    write_state_csv(d.grid.nodes, sol.control, out / "control.csv")
-    write_solution_json(sol, out / "report.json")
+    _write_cells([out], [sol], cfg, d, mask, scheme, psi0)
     fields = {**_row(sol), "initial_norm": sol.initial_norm}
-    return _write_summary(cfg, out, t0, fields, (sol,))
+    return _write_summary(cfg, out, fields, (sol,))
 
 
 def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
@@ -123,40 +138,30 @@ def _penalty_solves(cfg: ExperimentConfig, d, mask, scheme, psi0):
 
 def run_table1(cfg: ExperimentConfig) -> RunSummary:
     """Penalty sweep reported as one compact table."""
-    t0 = time.perf_counter()
-    out, grid, d, mask, scheme, psi0 = _setup(cfg, "table1")
+    out, d, mask, scheme, psi0 = _setup(cfg, "table1", ["report.json"])
     solves = list(_penalty_solves(cfg, d, mask, scheme, psi0))
     report = {repr(sol.epsilon): solution_to_dict(sol) for sol in solves}
     write_json({"per_epsilon": report}, out / "report.json")
-    return _write_summary(cfg, out, t0, {"rows": [_row(sol) for sol in solves]}, solves)
+    return _write_summary(cfg, out, {"rows": [_row(sol) for sol in solves]}, solves)
 
 
 def run_sweep(cfg: ExperimentConfig) -> RunSummary:
-    """Like table1, but each penalty cell, made before any solve, keeps its
-    full artifacts.  The cells' ``trajectory.csv`` share the free rows,
-    formatted once, and each cell's flow after the impulse is marched when
-    its file is reached, so one is held at a time."""
-    t0 = time.perf_counter()
+    """Like table1, but each penalty cell, made before any solve, keeps the
+    controlled scenario's artifacts."""
     names = [f"cell{i:02d}_eps_{eps:g}"
              for i, eps in enumerate(sorted(cfg.epsilons, reverse=True))]
-    out, grid, d, mask, scheme, psi0 = _setup(cfg, "sweep", names)
+    out, d, mask, scheme, psi0 = _setup(
+        cfg, "sweep", [f"{name}/{file}" for name in names for file in _CELL_FILES])
     solves = list(_penalty_solves(cfg, d, mask, scheme, psi0))
-    free = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=cfg.snapshot_stride)
-    posts = (post_impulse_flow(free, sol.control, d, mask, scheme, stride=cfg.snapshot_stride)
-             for sol in solves)
-    _write_trajectory_csvs([out / name / "trajectory.csv" for name in names], free, posts)
-    for name, sol in zip(names, solves):
-        write_state_csv(d.grid.nodes, sol.control, out / name / "control.csv")
-        write_solution_json(sol, out / name / "report.json")
-    return _write_summary(cfg, out, t0, {"rows": [_row(sol) for sol in solves]}, solves)
+    _write_cells([out / name for name in names], solves, cfg, d, mask, scheme, psi0)
+    return _write_summary(cfg, out, {"rows": [_row(sol) for sol in solves]}, solves)
 
 
 def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
     """Frequency cross-check, three-point ensemble, and observability fit."""
-    t0 = time.perf_counter()
-    out, grid, d, mask, scheme, psi0 = _setup(cfg, "convexity")
+    out, d, mask, scheme, psi0 = _setup(cfg, "convexity", ["frequency.csv", "report.json"])
     wp = make_weight(cfg)
-    constants = cvx.convexity_constants(wp, grid, cfg.ell)
+    constants = cvx.convexity_constants(wp, d.grid, cfg.ell)
     # One plan for the ensemble, made before any step: t1, t2, t3 = T (the 1x
     # horizon) and the 2.5x and 5x horizons, all on the configured time grid.
     # Targets that share a step size share one march.
@@ -165,6 +170,9 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
         targets = [steps_for(t, scheme) for t in times]
     except ValueError as exc:
         raise ConfigError("n_steps", str(exc)) from exc
+    if not isinstance(n_seeds, numbers.Integral) or n_seeds < 4:
+        raise ValueError(f"n_seeds must be an integer >= 4 (the fit needs 10 samples, one per "
+                         f"seed at each of 3 horizons), got {n_seeds!r}")
 
     traj = evolve_trajectory(psi0, d, scheme, stride=cfg.snapshot_stride)
     try:
@@ -178,7 +186,7 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
         freq.freq_oracle[mid]
     )
 
-    states = [random_smooth_state(grid, SplitMix64(cfg.seed + i)) for i in range(n_seeds)]
+    states = [random_smooth_state(d.grid, SplitMix64(cfg.seed + i)) for i in range(n_seeds)]
     at = _evolve_to(np.column_stack(states), targets, d, scheme.theta)
     checks = [cvx.three_point_check([block[:, i] for block in at[:3]], wp, d, scheme, constants)
               for i in range(n_seeds)]
@@ -211,7 +219,7 @@ def run_convexity(cfg: ExperimentConfig, n_seeds: int = 20) -> RunSummary:
         "frequency_mid_rel_error": freq_rel_err,
     }
     write_json(report, out / "report.json")
-    return _write_summary(cfg, out, t0, {
+    return _write_summary(cfg, out, {
         "c0": constants.c0,
         "c_const": constants.c_const,
         "three_point_violations": violations,

@@ -497,6 +497,15 @@ def test_run_convexity_step_counts(tmp_path, step_count, data, steps, marches):
     assert step_count == [steps, marches]
 
 
+@pytest.mark.parametrize("n_seeds", [0, -1, 3, 2.5])
+def test_run_convexity_refuses_too_few_seeds_before_any_step(tmp_path, step_count, n_seeds):
+    # three fit horizons give 3 n_seeds samples; the fit needs at least 10
+    cfg = validate(replace(ExperimentConfig(), out_dir=str(tmp_path)))
+    with pytest.raises(ValueError, match="n_seeds"):
+        run_convexity(cfg, n_seeds=n_seeds)
+    assert step_count[0] == 0
+
+
 def test_convexity_horizon_past_max_steps_is_config_error(tmp_path, capsys, monkeypatch):
     # 20 000 002 steps pass validate, but the 5x horizon would take
     # 100 000 010 > MAX_STEPS; the plan refuses it before any step.
@@ -561,6 +570,12 @@ def test_cli_exit_codes(tmp_path, capsys, step_count):
         (tmp_path / cell / "sweep").mkdir(parents=True)
         (tmp_path / cell / "sweep" / cell).write_text("")
         runs.append(("sweep", tmp_path / cell))
+    # so is an artifact path that is a directory, in a scenario's directory
+    # or in a sweep cell
+    for scenario, path in (("uncontrolled", "summary.json"),
+                           ("sweep", "cell01_eps_0.01/trajectory.csv")):
+        (tmp_path / path / scenario / path).mkdir(parents=True)
+        runs.append((scenario, tmp_path / path))
     for scenario, out in runs:
         capsys.readouterr()
         step_count[0] = 0

@@ -449,29 +449,6 @@ def test_trajectory_csv(tmp_path, setup25):
     assert expected[j][1:] == [*pre_impulse_flow(psi0, 0.01, d, scheme).final_state]
 
 
-def test_to_csv_refuses_a_head_that_does_not_fit(tmp_path, setup25):
-    _, d, mask, scheme, psi0 = setup25
-    pre = pre_impulse_flow(psi0, 0.01, d, scheme)
-    post = post_impulse_flow(pre, np.ones(26), d, mask, scheme)
-    grid10 = Grid(0.0, 1.0, 10)
-    d10 = build_discretization(grid10)
-    pre10 = pre_impulse_flow(np.sin(np.pi * grid10.nodes), 0.01, d10, scheme)
-    post10 = post_impulse_flow(pre10, np.ones(11), d10, subdomain_mask(grid10, 0.2, 0.8),
-                               scheme)
-    path = tmp_path / "traj.csv"
-    # head rows of 27 columns under a header of 12
-    with pytest.raises(ValueError, match=r"head has states of shape \(26,\), not \(11,\)"):
-        post10.to_csv(path, head=pre)
-    # a head that runs past the start would put the rows out of time order
-    with pytest.raises(ValueError, match="head ends at t=0.02, after t=0.01"):
-        post.to_csv(path, head=evolve_trajectory(psi0, d, scheme))
-    assert not path.exists()
-    # the impulse time may repeat: the head ends where the trajectory starts
-    post.to_csv(path, head=pre)
-    assert path.read_bytes() == _csv_bytes(solve_impulsive(psi0, np.ones(26), 0.01, d, mask,
-                                                           scheme), tmp_path / "whole.csv")
-
-
 def _csv_bytes(traj, path):
     traj.to_csv(path)
     return path.read_bytes()
@@ -536,8 +513,8 @@ def test_split_write_bytes_equal_solve_impulsive(tmp_path_factory, nx, method, n
         assert np.array_equal(whole.states, np.insert(ref[kept], j, left, axis=0))
         assert np.array_equal(whole.states[j], left)
         whole.to_csv(out / f"whole{i}.csv")
-        post_impulse_flow(pre, h, d, mask, scheme, stride).to_csv(out / f"split{i}.csv",
-                                                                  head=pre)
+        _write_trajectory_csvs([out / f"split{i}.csv"], pre,
+                               [post_impulse_flow(pre, h, d, mask, scheme, stride)])
         assert (out / f"split{i}.csv").read_bytes() == (out / f"whole{i}.csv").read_bytes()
 
 

@@ -16,6 +16,7 @@ files must keep their bytes.  Refresh a file only for a change meant to alter re
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,8 +55,11 @@ def _assert_close(got, want, where):
 
 
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
-def test_default_summary_matches_golden(scenario, tmp_path):
+def test_default_summary_matches_golden(scenario, tmp_path, capsys):
     assert main([scenario, "--out", str(tmp_path)]) == EXIT_OK
+    done = rf"{scenario}: done in \d+\.\d{{3}} s -> {re.escape(str(tmp_path))}/{scenario}/"
+    (line,) = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(done, line), line
     got = json.loads((tmp_path / scenario / "summary.json").read_text(encoding="utf-8"))
     assert got["config"].pop("out_dir") == str(tmp_path)
     want = GOLDEN[scenario]
