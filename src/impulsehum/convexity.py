@@ -18,7 +18,7 @@ from scipy.optimize import lsq_linear
 
 from .evolution import TimeScheme, Trajectory, _write_csv
 from .mesh import (
-    ConfigError, Discretization, Grid, State, SubdomainMask, inner, subdomain_norm,
+    ConfigError, Discretization, Grid, State, SubdomainMask, _check_length, inner, subdomain_norm,
 )
 
 
@@ -196,14 +196,15 @@ def frequency(traj: Trajectory, wp: WeightParams, d: Discretization) -> Convexit
     norms, i.e. the decay rate the trajectory actually exhibits.  The two
     agree up to discretization error for smooth data.
 
-    Raises ValueError unless there are at least two snapshots at strictly
-    increasing times, or where |F| first vanishes: a ConfigError naming
-    ``hbar`` if the state there is nonzero.
+    Raises ValueError unless there are at least two snapshots on ``d``'s
+    grid at strictly increasing times, or where |F| first vanishes: a
+    ConfigError naming ``hbar`` if the state there is nonzero.
     """
     if len(traj.times) < 2:
         raise ValueError(f"frequency needs at least two snapshots, got {len(traj.times)}")
     if not np.all(np.diff(traj.times) > 0):
         raise ValueError("frequency expects strictly increasing times")
+    _check_length(traj.states[0], d, "traj.states[0]")
     f = weighted_state(traj.states, traj.times, wp, d)
     # |F|^2 per snapshot, each the weighted inner product of its own row.
     nf2 = np.array([np.dot(r, d.w) for r in f * f])
@@ -255,8 +256,8 @@ def three_point_check(
     times = (constants.t1, constants.t2, constants.t3)
     m, d_const = constants.m_three_point, constants.d_three_point
     logs = []
-    for u, t in zip(states, times):
-        f = weighted_state(u, t, wp, d)
+    for i, (u, t) in enumerate(zip(states, times)):
+        f = weighted_state(_check_length(u, d, f"states[{i}]"), t, wp, d)
         nf2 = inner(f, f, d)
         if nf2 <= 0.0:
             raise ValueError(f"|F({t})| vanishes; three-point check undefined")
@@ -377,8 +378,8 @@ def epsilon_split_slack(
     Nonnegative slack is implied by the fitted interpolation bound holding on
     the same data; for eps >= 1 it already follows from the contraction.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     m1, m2, delta = split_constants(fit)
     with np.errstate(over="ignore"):
         coef = (m1 * np.exp(m2 / t_final) / epsilon**delta) ** 2

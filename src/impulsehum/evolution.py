@@ -24,7 +24,7 @@ from scipy.linalg import cholesky_banded, get_lapack_funcs
 from scipy.linalg import cho_solve_banded  # noqa: F401
 
 from .mesh import (ConfigError, Discretization, State, SubdomainMask, _check_count, _check_length,
-                   control_op)
+                   _check_mask, control_op)
 
 _THETA = {"crank_nicolson": 0.5, "backward_euler": 1.0}
 
@@ -383,6 +383,7 @@ def post_impulse_flow(
     """
     k = _impulse_step(pre.times[-1], scheme)
     h = _check_state(h, d, "h")
+    _check_mask(mask, d)
     n = scheme.n_steps
     keep = _strided(n, stride) | {k}
     return _march(pre.final_state + control_op(h, mask), d, n, scheme.dt, scheme.theta, keep,
@@ -406,8 +407,9 @@ def solve_impulsive(
     evolve(mask * h, t_final - tau).  Its rows are those of
     :func:`pre_impulse_flow` then :func:`post_impulse_flow`, so tau appears
     twice, left limit first; several controls for one ``psi0`` can share
-    the first.
+    the first.  ``mask`` is checked before any step.
     """
+    _check_mask(mask, d)
     pre = pre_impulse_flow(psi0, tau, d, scheme, stride)
     post = post_impulse_flow(pre, h, d, mask, scheme, stride)
     return Trajectory(times=np.concatenate([pre.times, post.times]),

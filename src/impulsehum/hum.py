@@ -11,27 +11,25 @@ control region, and all inner products the weighted one (Lambda + eps I is
 self-adjoint positive definite only in that geometry).  The conjugate
 gradient iteration below works matrix-free: one application of Lambda (two
 propagations) per iteration; the functional it records is read off its
-residual.  The impulsive run is marched by ``evolution`` alone: the free
-flow of psi0 up to the impulse (``pre_impulse_flow``) holds the impulse's
-left limit, E(T) psi0 is marched from it over T - tau, and
-``post_impulse_flow`` jumps it by the control and marches the final state.
-Every span over T - tau, b's too, is the n - k steps of dt after the
-impulse's step k (a tau within ``_grid_step``'s 1e-9 k of it is read as k
-everywhere), so a solve uses one step size and one factor.
+residual.  Besides CG, a solve is four ``evolve`` legs: psi0 to the impulse's
+left limit at tau, then over T - tau that limit (b = E(T) psi0), the
+minimizer (the control) and the jumped limit (the final state).  Every span
+over T - tau is the n - k steps of dt after the impulse's step k (a tau
+within ``_grid_step``'s 1e-9 k of it is read as k everywhere), so a solve
+uses one step size and one factor.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .evolution import (TimeScheme, _check_state, _grid_step, _impulse_step, _write_csv, evolve,
-                        post_impulse_flow, pre_impulse_flow)
-from .mesh import (ConfigError, Discretization, State, SubdomainMask, _check_count, control_op,
-                   inner, norm, subdomain_norm)
+from .evolution import TimeScheme, _check_state, _grid_step, _impulse_step, _write_csv, evolve
+from .mesh import (ConfigError, Discretization, State, SubdomainMask, _check_count, _check_mask,
+                   control_op, inner, norm, subdomain_norm)
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,10 @@ def gramian_apply(
     scheme: TimeScheme,
 ) -> State:
     """Apply Lambda = E(T-tau) B E(T-tau) to ``rho``, one state, over
-    :func:`_span`; both are checked before any step."""
+    :func:`_span`; they and ``mask`` are checked before any step."""
     span = _span(cfg, scheme)
     rho = _check_state(rho, d, "rho")
+    _check_mask(mask, d)
     return evolve(control_op(evolve(rho, span, d, scheme), mask), span, d, scheme)
 
 
@@ -112,16 +111,9 @@ def _span(cfg: HumConfig, scheme: TimeScheme) -> float:
     return (scheme.n_steps - _impulse_step(cfg.tau, scheme)) * scheme.dt
 
 
-def _run_cg(
-    b: State,
-    cfg: HumConfig,
-    d: Discretization,
-    mask: SubdomainMask,
-    scheme: TimeScheme,
-    obs_weight: float,
-    penalty: float,
-):
-    """CG on (obs_weight * Lambda + penalty I) f = -b, with b = E(T) psi0.
+def _run_cg(b: State, apply_op: Callable[[State], State], d: Discretization, tol: float,
+            max_iter: int):
+    """CG on A f = -b, A = ``apply_op`` self-adjoint positive definite.
 
     Returns the iterate, the residual and functional histories, the
     iteration count, whether the recursive residual met the tolerance, and
@@ -142,20 +134,15 @@ def _run_cg(
     self-adjoint, so <psi0, E(T) f> = <b, f>.
     """
 
-    def apply_op(v: State) -> State:
-        return penalty * v + obs_weight * gramian_apply(v, cfg, d, mask, scheme)
-
     def objective(v: State, g: State) -> float:
         return 0.5 * inner(g + b, v, d)
 
     f = np.zeros(d.grid.n_dof)
     g = b.copy()
-
     g0_norm = norm(g, d)
     if g0_norm == 0.0:
         return f, np.array([0.0]), np.array([objective(f, g)]), 0, True, g0_norm
 
-    max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * d.grid.nx
     residuals = [1.0]
     functionals = [objective(f, g)]
     w = g.copy()
@@ -174,7 +161,7 @@ def _run_cg(
         residuals.append(new_norm / g0_norm)
         functionals.append(objective(f, g))
         iterations = k
-        if new_norm / g0_norm <= cfg.tol:
+        if new_norm / g0_norm <= tol:
             converged = True
             break
         w = g + (new_norm**2 / g_norm**2) * w
@@ -192,13 +179,11 @@ def _solve(
     penalty: float,
     kappa: Optional[float],
 ) -> HumSolution:
-    """Run CG on b = E(T) psi0, build the control obs_weight B E(T-tau) f,
-    and take Psi(T) from :func:`post_impulse_flow` of the control on the
-    free flow :func:`pre_impulse_flow` of ``psi0``, bit for bit the last
-    state of :func:`solve_impulsive`.  b is the flow's left limit evolved
-    over T - tau, bit for bit one march of ``psi0`` over all n steps; every
-    leg marches the n - k steps after the impulse's step k (:func:`_span`).
-    Every input is checked before any step.
+    """Run CG, at most ``cfg.max_iter`` (10 nx by default) iterations, on
+    b = E(T) psi0, the left limit at tau marched over T - tau (bit for bit
+    one march over all n steps); Psi(T) is that limit jumped by the control
+    obs_weight B E(T-tau) f and marched over T - tau (bit for bit the last
+    state of :func:`solve_impulsive`).  Inputs are checked before any step.
 
     As the control carries the observation weight, Psi(T) = b + obs_weight
     Lambda f up to roundoff, so penalty f + Psi(T) is the true residual at
@@ -206,13 +191,19 @@ def _solve(
     because CG's recursive residual can drift below the true one.
     """
     span = _span(cfg, scheme)
-    pre = pre_impulse_flow(psi0, cfg.tau, d, scheme, stride=scheme.n_steps)
-    b = evolve(pre.final_state, span, d, scheme)
+    psi0 = _check_state(psi0, d, "psi0")
+    _check_mask(mask, d)
+
+    def apply_op(v: State) -> State:
+        return penalty * v + obs_weight * gramian_apply(v, cfg, d, mask, scheme)
+
+    left = evolve(psi0, cfg.tau, d, scheme)
+    b = evolve(left, span, d, scheme)
     f, residuals, functionals, iterations, converged, g0_norm = _run_cg(
-        b, cfg, d, mask, scheme, obs_weight, penalty
+        b, apply_op, d, cfg.tol, cfg.max_iter or 10 * d.grid.nx
     )
     control = obs_weight * control_op(evolve(f, span, d, scheme), mask)
-    final = post_impulse_flow(pre, control, d, mask, scheme, stride=scheme.n_steps).final_state
+    final = evolve(left + control_op(control, mask), span, d, scheme)
     true_residual = norm(penalty * f + final, d) / g0_norm if g0_norm else 0.0
     return HumSolution(
         minimizer=f,
@@ -241,12 +232,11 @@ def cg_solve(
 ) -> HumSolution:
     """Minimal-norm impulse control via CG on (Lambda + eps I) f = -E(T) psi0.
 
-    On convergence the control is the masked propagation of the minimizer and
-    the final state is marched after the impulse from the left limit that
-    ``pre_impulse_flow(psi0, cfg.tau, d, scheme)`` holds.  If CG stops at
-    the iteration cap or at a curvature that is not positive, the last
-    iterate is returned with ``converged`` False, so partial sweeps stay
-    reproducible.
+    The control is the masked propagation of the minimizer, and the final
+    state the flow after it jumps ``evolve(psi0, cfg.tau, d, scheme)``.  If
+    CG stops at the iteration cap or at a curvature that is not positive,
+    the last iterate is returned with ``converged`` False, so partial sweeps
+    stay reproducible.
     """
     return _solve(psi0, cfg, d, mask, scheme, obs_weight=1.0, penalty=cfg.epsilon, kappa=None)
 

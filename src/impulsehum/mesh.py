@@ -161,6 +161,12 @@ def subdomain_mask(grid: Grid, omega_lo: float, omega_hi: float) -> SubdomainMas
     return SubdomainMask(m)
 
 
+def _check_mask(mask: SubdomainMask, d: Discretization) -> None:
+    """Refuse a mask whose grid is not ``d``'s."""
+    if mask.mask.shape != (d.grid.n_dof,):
+        raise ValueError("mask was built on a different grid")
+
+
 def control_op(v: State, mask: SubdomainMask) -> State:
     """Restrict to the control region: interior nodes of omega keep their
     value, everything else (including both boundary entries) is zeroed."""
@@ -170,6 +176,5 @@ def control_op(v: State, mask: SubdomainMask) -> State:
 def subdomain_norm(u: State, mask: SubdomainMask, d: Discretization) -> float:
     """Interior L2 norm over the masked nodes, sqrt(sum_i mask_i dx u_i^2)."""
     u = _check_length(u, d, "u")
-    if mask.mask.shape != u.shape:
-        raise ValueError("mask was built on a different grid")
+    _check_mask(mask, d)
     return float(np.sqrt(d.grid.dx * np.sum(mask.mask * u * u)))

@@ -100,6 +100,11 @@ def test_traced_solve_feeds_the_true_residual_check(bench, tmp_path):
     ((residual, converged),) = worker.true_residuals(tr)
     assert math.isfinite(residual) and converged == sol.converged
     assert tr.spans and tr.counts["mesh.inner_calls"] > 0
+    # Every leg of the solve is a traced evolve: two per CG iteration (the
+    # Gramian), then b, the control, the left limit and the final state.
+    legs = [i for i, span in enumerate(tr.spans)
+            if span[0] == "evolution.evolve" and tr.under(i, "hum.cg_solve")]
+    assert len(legs) == 2 * sol.iterations + 4
 
 
 def test_cli_import_lists_scipy_optimize():

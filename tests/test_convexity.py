@@ -222,6 +222,11 @@ def test_frequency_rejects_bad_input(setup25):
     one_row = Trajectory(times=free.times[:1], states=free.states[:1])
     with pytest.raises(ValueError, match="at least two snapshots, got 1"):
         frequency(one_row, WP, d)
+    # states of a 50-cell grid are named, not broadcast against 25 cells
+    finer = evolve_trajectory(np.ones(51), build_discretization(Grid(0.0, 1.0, 50)), scheme,
+                              stride=20)
+    with pytest.raises(ValueError, match=r"traj.states\[0\] has shape \(51,\)"):
+        frequency(finer, WP, d)
 
 
 @pytest.mark.parametrize("method", ["crank_nicolson", "backward_euler"])
@@ -288,6 +293,9 @@ def test_three_point_rejects_degenerate_triple(setup25):
     # one state per time: a block of states as columns is not three states
     with pytest.raises(ValueError, match="three states at three times"):
         three_point_check(np.column_stack([psi0] * 3), WP, d, scheme, constants)
+    # three states of a 50-cell grid are named, not broadcast against 25 cells
+    with pytest.raises(ValueError, match=r"states\[0\] has shape \(51,\)"):
+        three_point_check([np.ones(51)] * 3, WP, d, scheme, constants)
 
 
 def test_three_point_ensemble_nonnegative():
@@ -405,6 +413,18 @@ def test_split_slack_trivial_and_contractive():
         u0 = random_smooth_state(grid, SplitMix64(seed))
         final = evolve(u0, scheme.t_final, d, scheme)
         assert epsilon_split_slack(u0, final, 1.0, fit, d, mask, scheme.t_final) >= 0.0
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, np.inf, np.nan])
+def test_split_slack_rejects_epsilon_outside_positive_reals(epsilon):
+    grid = Grid(0.0, 1.0, 25)
+    d = build_discretization(grid)
+    mask = subdomain_mask(grid, 0.2, 0.8)
+    fit = ObservabilityFit(mu=3.0, k_const=1e-4, beta=0.6, satisfied_fraction=1.0, n_samples=10)
+    # inf once returned inf, or nan with a zero theta0
+    for theta0 in (np.ones(26), np.zeros(26)):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            epsilon_split_slack(theta0, np.ones(26), epsilon, fit, d, mask, 0.02)
 
 
 def test_split_slack_implied_by_fitted_bound():

@@ -10,6 +10,7 @@ from impulsehum import (
     Grid,
     HumConfig,
     TimeScheme,
+    Trajectory,
     build_discretization,
     cg_solve,
     control_op,
@@ -19,6 +20,7 @@ from impulsehum import (
     initial_state,
     inner,
     norm,
+    post_impulse_flow,
     solve_cost_weighted,
     solve_impulsive,
     solution_to_dict,
@@ -431,6 +433,24 @@ def test_bad_inputs_named_before_marching(name, kind, step_count, setup25):
     solve = cg_solve if name == "psi0" else gramian_apply
     with pytest.raises(ValueError, match=f"{name} (contains non-finite|has shape)"):
         solve(_BAD[kind](d.grid.n_dof), _cfg(1e-2), d, mask, scheme)
+    assert step_count[0] == 0
+
+
+def test_mask_of_another_grid_rejected_before_marching(step_count, setup25):
+    # A mask of the 50-cell grid once failed as a numpy broadcast after up
+    # to three marches.
+    _, d, _, scheme, psi0 = setup25
+    mask = subdomain_mask(Grid(0.0, 1.0, 50), 0.2, 0.8)
+    pre = Trajectory(times=np.array([0.01]), states=psi0[None])
+    h = np.ones_like(psi0)
+    solves = [lambda: cg_solve(psi0, _cfg(1e-2), d, mask, scheme),
+              lambda: _cost_weighted(psi0, _cfg(1e-2), d, mask, scheme),
+              lambda: gramian_apply(psi0, _cfg(1e-2), d, mask, scheme),
+              lambda: solve_impulsive(psi0, h, 0.01, d, mask, scheme),
+              lambda: post_impulse_flow(pre, h, d, mask, scheme)]
+    for solve in solves:
+        with pytest.raises(ValueError, match="mask was built on a different grid"):
+            solve()
     assert step_count[0] == 0
 
 
